@@ -57,7 +57,6 @@ from .negators import (
     Tsallis,
     Uniform,
     Yager,
-    involutive_negated_stats,
     involutive_point,
     linear_point,
     negate,
@@ -369,6 +368,12 @@ def negation_axioms_check(
     """Whether ``q_dist`` is a valid negation of ``p_dist``: order-reversal
     with ties mapped to ties, within ``tol.tol_eq`` slack.
 
+    Reversal is required only of inputs more than ``tol.tol_eq`` apart,
+    and agreement within ``tol.tol_eq`` only of exactly equal inputs.
+    Distinct inputs closer than that are not checked: a steep map such as
+    tsallis with k < 1 near 0 pulls their outputs far more than the slack
+    apart, so treating them as a tie would reject a correct negation.
+
     Validity of ``q_dist`` as a distribution is already guaranteed by its
     type; what is checked here is the pairwise order structure.
     """
@@ -378,7 +383,7 @@ def negation_axioms_check(
     p, q = p_dist.values, q_dist.values
     for i in range(p_dist.n):
         for j in range(p_dist.n):
-            if p[i] <= p[j] + t and q[i] < q[j] - t:
+            if (p[i] == p[j] or p[i] < p[j] - t) and q[i] < q[j] - t:
                 return AxiomCheck(
                     False,
                     f"order not reversed: p_{i + 1}={p[i]!r} <= p_{j + 1}={p[j]!r} "

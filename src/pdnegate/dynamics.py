@@ -176,13 +176,19 @@ def converge(
     """Iterate until the orbit lands within ``eps`` of uniform (max norm),
     revisits an earlier distribution, or exhausts ``max_iter`` steps.
 
-    By default only the first two orbit entries are kept for recurrence
-    checks: period 2 is the only cycle the shipped families can produce.
-    ``full_history`` retains every entry for exploratory use. Recurrence
-    at gap 1 (a frozen non-uniform point) is not reported as oscillation;
-    such an orbit runs to ``MaxIterReached``.
+    By default each step is compared with the step two before it: period
+    2 is the only cycle the shipped families can produce, and this finds
+    it however late the orbit falls into it. A match counts only when
+    the step in between lies more than ``tol.tol_eq`` away and, after
+    step 2, when that gap has stopped shrinking. An orbit that closes in
+    on uniform while alternating sides also comes back within
+    ``tol.tol_eq`` of its step two before, but its gap shrinks by the
+    contraction factor every step. A frozen non-uniform point is not
+    reported either; such an orbit runs to ``MaxIterReached``.
+    ``full_history`` instead keeps every entry and reports a recurrence
+    at any gap of two or more, for exploratory use.
     """
-    if eps <= 0.0:
+    if not eps > 0.0:
         raise DomainError(f"eps must be > 0, got {eps!r}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
@@ -191,15 +197,26 @@ def converge(
     if linf_to_uniform(current) < eps:
         return Converged(0, current)
     seen: list[tuple[int, Dist]] = [(0, current)]
+    before, previous, last_gap = None, current, 0.0
     for k in range(1, max_iter + 1):
         current = negate(spec, current)
         if linf_to_uniform(current) < eps:
             return Converged(k, current)
-        for j, earlier in seen:
-            if k - j >= 2 and max_abs_diff(current, earlier) <= tol.tol_eq:
-                return Oscillating(period=k - j, witness=earlier)
-        if full_history or len(seen) < 2:
+        if full_history:
+            for j, earlier in seen:
+                if k - j >= 2 and max_abs_diff(current, earlier) <= tol.tol_eq:
+                    return Oscillating(period=k - j, witness=earlier)
             seen.append((k, current))
+            continue
+        gap = max_abs_diff(current, previous)
+        if (
+            before is not None
+            and gap > tol.tol_eq
+            and (k == 2 or gap >= last_gap)
+            and max_abs_diff(current, before) <= tol.tol_eq
+        ):
+            return Oscillating(period=2, witness=before)
+        before, previous, last_gap = previous, current, gap
     return MaxIterReached(current)
 
 

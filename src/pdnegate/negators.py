@@ -28,8 +28,9 @@ from .errors import (
     DomainError,
     LengthError,
     NegatorSyntaxError,
+    RangeError,
 )
-from .simplex import DEFAULT_TOLERANCE, Dist, DistStats, make_dist, stats
+from .simplex import DEFAULT_TOLERANCE, Dist, DistStats, make_dist
 
 __all__ = [
     "Yager",
@@ -74,16 +75,19 @@ class Linear:
 
 @dataclass(frozen=True)
 class Tsallis:
-    """p_i -> (1 - p_i**k) / (n - sum_j p_j**k) with exponent ``k != 0``.
+    """p_i -> (1 - p_i**k) / (n - sum_j p_j**k) with a finite exponent
+    ``k != 0``.
 
-    Negative k requires strictly positive probabilities.
+    Negative k requires strictly positive probabilities. An exponent so
+    close to 0 that every p_i**k rounds to 1 leaves the denominator zero;
+    ``negate`` raises ``DomainError`` for it.
     """
 
     k: float
 
     def __post_init__(self) -> None:
-        if self.k == 0.0 or math.isnan(self.k):
-            raise DomainError(f"k must be a nonzero number, got {self.k!r}")
+        if self.k == 0.0 or not math.isfinite(self.k):
+            raise DomainError(f"k must be a finite nonzero number, got {self.k!r}")
 
 
 @dataclass(frozen=True)
@@ -175,14 +179,6 @@ def linear_params(
     )
 
 
-def _tsallis_values(dist: Dist, k: float) -> list[float]:
-    if k < 0.0 and any(v == 0.0 for v in dist):
-        raise DomainError("tsallis with k < 0 requires strictly positive probabilities")
-    powers = [v**k for v in dist]
-    denom = dist.n - math.fsum(powers)
-    return [(1.0 - w) / denom for w in powers]
-
-
 # Inputs whose sum is an ulp off 1 can push an exact-arithmetic boundary
 # output a few ulps past it, e.g. (0, 0, 0, 1) under the involutive family.
 _SNAP = 1e-12
@@ -206,23 +202,49 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     renormalized, so the sum-to-one guarantee is checked, not imposed.
     Roundoff excursions past 0 or 1 of at most 1e-12 are snapped to the
     boundary first; anything larger is a genuine range violation.
+
+    Each family's arithmetic is written out here with its per-call
+    constants hoisted, in the same operation order as the pointwise
+    functions above, so the outputs equal theirs bit for bit.
     """
-    n = dist.n
+    vals = dist.values
+    n = len(vals)
     match spec:
         case Yager():
-            out = [yager_point(p, n) for p in dist]
+            d = n - 1
+            out = [(1.0 - p) / d for p in vals]
         case Uniform():
             out = [1.0 / n] * n
         case Linear(alpha=alpha):
-            out = [linear_point(p, n, alpha) for p in dist]
+            a, w, d = alpha / n, 1.0 - alpha, n - 1
+            out = [a + w * (1.0 - p) / d for p in vals]
         case Tsallis(k=k):
-            out = _tsallis_values(dist, k)
+            if k < 0.0 and 0.0 in vals:
+                raise DomainError(
+                    "tsallis with k < 0 requires strictly positive probabilities"
+                )
+            powers = [p**k for p in vals]
+            denom = n - math.fsum(powers)
+            # Zero when every p**k rounds to 1, as for k = 1e-320.
+            if denom == 0.0:
+                raise DomainError(
+                    f"tsallis:k={k!r} gives denominator n - sum(p**k) = {denom!r}"
+                )
+            out = [(1.0 - w) / denom for w in powers]
         case Involutive():
-            s = stats(dist)
-            out = [involutive_point(p, s) for p in dist]
+            mp = max(vals) + min(vals)
+            denom = n * mp - 1.0
+            if denom <= 0.0:
+                raise DegenerateStatsError(f"n*mp - 1 = {denom!r} is not positive")
+            out = [(mp - p) / denom for p in vals]
         case _:
             raise TypeError(f"not a negator spec: {spec!r}")
-    return make_dist(_snap_unit(out), DEFAULT_TOLERANCE)
+    # Snapping cannot change a list that is already inside [0, 1], so it
+    # is only tried once validation has found a value outside.
+    try:
+        return make_dist(out, DEFAULT_TOLERANCE)
+    except RangeError:
+        return make_dist(_snap_unit(out), DEFAULT_TOLERANCE)
 
 
 def involutive_negated_stats(s: DistStats) -> DistStats:

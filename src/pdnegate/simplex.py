@@ -119,16 +119,20 @@ def make_dist(values: Iterable[float], tol: Tolerance = DEFAULT_TOLERANCE) -> Di
     value outside [0, 1], ``SumError`` when the total strays from one by
     more than ``tol.tol_simplex``.
     """
-    vals = tuple(float(v) for v in values)
+    vals = tuple(map(float, values))
     if len(vals) < 2:
         raise LengthError(f"need at least 2 values, got {len(vals)}")
+    # Fast path. min and max skip a NaN that is not first, but such a NaN
+    # makes the sum NaN, which fails the sum test as written.
+    if 0.0 <= min(vals) and max(vals) <= 1.0:
+        if abs(math.fsum(vals) - 1.0) <= tol.tol_simplex:
+            return Dist(vals)
+    # Slow path, only to name the fault: the first value outside [0, 1],
+    # else the sum.
     for i, v in enumerate(vals):
         if not 0.0 <= v <= 1.0:
             raise RangeError(f"value {v!r} at position {i + 1} outside [0, 1]")
-    total = math.fsum(vals)
-    if abs(total - 1.0) > tol.tol_simplex:
-        raise SumError(f"values sum to {total!r}, not 1 within {tol.tol_simplex}")
-    return Dist(vals)
+    raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {tol.tol_simplex}")
 
 
 def uniform_dist(n: int) -> Dist:

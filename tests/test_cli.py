@@ -227,6 +227,20 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["negate", "--negator", "tsallis:k=inf", "--dist", "0.5,0.5"],
+            ["negate", "--negator", "tsallis:k=1e-320", "--dist", "0.2,0.3,0.5"],
+            ["converge", "--negator", "yager", "--dist", "0.3,0.7", "--eps", "nan"],
+        ],
+    )
+    def test_tsallis_and_eps_edges_are_domain_errors(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
     def test_stdout_stays_machine_parseable(self, capsys):
         """Success paths print exactly one JSON payload, no banners."""
         for argv in (

@@ -212,9 +212,35 @@ class TestConverge:
         assert isinstance(out, Oscillating)
         assert out.period == 2
 
+    def test_late_two_cycle_is_oscillating(self):
+        # tsallis k = 0.5 reaches the cycle (1, 0) <-> (0, 1) only after
+        # several steps, so comparing with the start never finds it.
+        out = converge(Tsallis(0.5), make_dist([0.3, 0.7]))
+        assert isinstance(out, Oscillating)
+        assert out.period == 2
+        assert min(out.witness) < 1e-8  # next to a vertex
+
+    @pytest.mark.parametrize(
+        "spec, start, steps",
+        [
+            (Yager(), make_dist([0.2, 0.3, 0.5]), 38),
+            (Tsallis(0.5), random_dist(3, seed=0), 69),
+            (Linear(0.05), make_dist([0.3, 0.7]), 508),
+        ],
+    )
+    def test_alternating_convergence_is_not_oscillating(self, spec, start, steps):
+        # Each orbit alternates sides of uniform and, well before eps, comes
+        # back within tol_eq of its step two before; only the shrinking gap
+        # to the step in between tells it from a cycle.
+        out = converge(spec, start, eps=1e-12)
+        assert isinstance(out, Converged)
+        assert out.steps == steps
+
     def test_parameter_domains(self):
         with pytest.raises(DomainError):
             converge(Yager(), EXAMPLE, eps=0.0)
+        with pytest.raises(DomainError):
+            converge(Yager(), EXAMPLE, eps=math.nan)
         with pytest.raises(DomainError):
             converge(Yager(), EXAMPLE, max_iter=0)
 

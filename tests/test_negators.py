@@ -4,7 +4,8 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from pdnegate import (
     DegenerateStatsError,
@@ -14,6 +15,7 @@ from pdnegate import (
     Linear,
     LengthError,
     NegatorSyntaxError,
+    RangeError,
     Tsallis,
     Uniform,
     Yager,
@@ -55,6 +57,16 @@ class TestSpecValidation:
             Tsallis(0.0)
         with pytest.raises(DomainError):
             Tsallis(float("nan"))
+        with pytest.raises(DomainError):
+            Tsallis(float("inf"))
+        with pytest.raises(DomainError):
+            Tsallis(float("-inf"))
+
+    def test_tsallis_vanishing_denominator(self):
+        # Every p**k rounds to 1, so n - sum(p**k) is exactly 0.
+        for k in (1e-320, -1e-300):
+            with pytest.raises(DomainError):
+                negate(Tsallis(k), make_dist([0.2, 0.3, 0.5]))
 
 
 class TestNegateExamples:
@@ -89,6 +101,57 @@ class TestNegateExamples:
     def test_non_spec_rejected(self):
         with pytest.raises(TypeError):
             negate("yager", EXAMPLE)  # type: ignore[arg-type]
+
+
+def _snapped(v):
+    """The documented boundary snap: excursions of at most 1e-12."""
+    if -1e-12 <= v < 0.0:
+        return 0.0
+    if 1.0 < v <= 1.0 + 1e-12:
+        return 1.0
+    return v
+
+
+def _pointwise(spec, d):
+    n = d.n
+    match spec:
+        case Yager():
+            return tuple(_snapped(yager_point(p, n)) for p in d)
+        case Linear(alpha=alpha):
+            return tuple(_snapped(linear_point(p, n, alpha)) for p in d)
+        case Involutive():
+            s = stats(d)
+            return tuple(_snapped(involutive_point(p, s)) for p in d)
+
+
+KERNEL_SPECS = st.one_of(
+    st.just(Yager()), st.sampled_from(ALPHA_GRID).map(Linear), st.just(Involutive())
+)
+
+
+class TestKernelMatchesPointwise:
+    """negate's per-family loops repeat the pointwise functions' arithmetic,
+    so their outputs must agree exactly, not just approximately."""
+
+    @given(KERNEL_SPECS, dists(min_n=2, max_n=50))
+    @settings(max_examples=300)
+    def test_bit_identical(self, spec, d):
+        assert negate(spec, d).values == _pointwise(spec, d)
+
+    def test_bit_identical_wide(self):
+        d = random_dist(10_000, seed=7)
+        for spec in (Yager(), Linear(0.25), Involutive()):
+            assert negate(spec, d).values == _pointwise(spec, d)
+
+    def test_snap_after_range_miss(self):
+        # The second involutive step from a point mass overshoots 1 by an
+        # ulp: validation rejects the raw output and the snap repairs it.
+        q = negate(Involutive(), point_dist(4, 4))
+        s = stats(q)
+        raw = [involutive_point(p, s) for p in q]
+        with pytest.raises(RangeError):
+            make_dist(raw)
+        assert negate(Involutive(), q).values == (0.0, 0.0, 0.0, 1.0)
 
 
 class TestPointwiseValues:
@@ -184,6 +247,8 @@ class TestLinearParams:
 class TestNegationAxioms:
     @given(all_specs(), dists(min_n=2, max_n=8))
     @settings(max_examples=300)
+    # Inputs 1e-9 apart: tsallis k < 1 maps them far more than tol_eq apart.
+    @example(Tsallis(0.5), make_dist([0.0, 1.0 - 1e-9, 1e-9]))
     def test_output_reverses_order(self, spec, d):
         """Every family's output is a valid distribution with order
         reversed: p_i <= p_j implies q_i >= q_j, ties map to ties."""

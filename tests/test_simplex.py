@@ -56,6 +56,28 @@ class TestMakeDist:
         with pytest.raises(RangeError):
             make_dist([float("nan"), 1.0])
 
+    @pytest.mark.parametrize(
+        "values, position",
+        [
+            ([math.nan, 0.5, 0.5], 1),
+            ([0.5, math.nan, 0.5], 2),
+            ([0.5, 0.5, math.nan], 3),
+            ([0.5, math.inf, 0.5], 2),
+            ([0.5, 0.5, -math.inf], 3),
+            ([0.5, math.inf, -math.inf], 2),
+            # Two values out of range: the first is named.
+            ([0.5, 1.5, -0.2, 0.2], 2),
+            ([0.2, -0.2, 1.5, 0.5], 2),
+        ],
+    )
+    def test_range_error_names_first_bad_position(self, values, position):
+        with pytest.raises(RangeError, match=f"at position {position} outside"):
+            make_dist(values)
+
+    def test_in_range_bad_sum_is_sum_error(self):
+        with pytest.raises(SumError, match="values sum to 0.4, not 1"):
+            make_dist([0.1, 0.1, 0.2])
+
     def test_bad_sum_is_rejected_not_repaired(self):
         """Constructors reject rather than renormalize."""
         with pytest.raises(SumError):
