@@ -6,150 +6,20 @@ orbits, convergence analysis against the uniform distribution, and
 contracting/expanding/involutive classification.
 """
 
-from .errors import (
-    DegenerateStatsError,
-    DomainError,
-    LengthError,
-    LengthMismatchError,
-    NegatorSyntaxError,
-    RangeError,
-    SimplexError,
-    SumError,
-)
-from .simplex import (
-    DEFAULT_TOLERANCE,
-    Dist,
-    DistStats,
-    Tolerance,
-    dists_equal,
-    entropy,
-    format_dist,
-    linf_to_uniform,
-    make_dist,
-    max_abs_diff,
-    max_entropy,
-    parse_dist,
-    point_dist,
-    stats,
-    uniform_dist,
-)
-from .negators import (
-    Involutive,
-    Linear,
-    LinearParams,
-    NegatorSpec,
-    Tsallis,
-    Uniform,
-    Yager,
-    format_negator,
-    involutive_negated_stats,
-    involutive_point,
-    linear_params,
-    linear_point,
-    negate,
-    parse_negator,
-    yager_point,
-)
-from .dynamics import (
-    ContractionFactor,
-    ConvergenceOutcome,
-    Converged,
-    MaxIterReached,
-    OrbitStep,
-    OrbitTrace,
-    Oscillating,
-    contraction_factor,
-    converge,
-    iterate,
-    linear_power_point,
-    orbit_csv,
-    yager_power_point,
-)
-from .analysis import (
-    AxiomCheck,
-    ClassificationReport,
-    InvolutionCheck,
-    PointVerdict,
-    Verdict,
-    check_involution,
-    classify,
-    classify_point,
-    fixed_point,
-    negation_axioms_check,
-    random_dist,
-    report_as_dict,
-)
+from . import analysis, dynamics, errors, negators, simplex
+from .errors import *
+from .simplex import *
+from .negators import *
+from .dynamics import *
+from .analysis import *
 
 __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    # errors
-    "SimplexError",
-    "LengthError",
-    "RangeError",
-    "SumError",
-    "LengthMismatchError",
-    "DomainError",
-    "DegenerateStatsError",
-    "NegatorSyntaxError",
-    # simplex
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
-    "Dist",
-    "DistStats",
-    "make_dist",
-    "uniform_dist",
-    "point_dist",
-    "entropy",
-    "max_entropy",
-    "linf_to_uniform",
-    "stats",
-    "max_abs_diff",
-    "dists_equal",
-    "parse_dist",
-    "format_dist",
-    # negators
-    "Yager",
-    "Uniform",
-    "Linear",
-    "Tsallis",
-    "Involutive",
-    "NegatorSpec",
-    "LinearParams",
-    "linear_params",
-    "negate",
-    "yager_point",
-    "linear_point",
-    "involutive_point",
-    "involutive_negated_stats",
-    "parse_negator",
-    "format_negator",
-    # dynamics
-    "OrbitStep",
-    "OrbitTrace",
-    "ContractionFactor",
-    "Converged",
-    "Oscillating",
-    "MaxIterReached",
-    "ConvergenceOutcome",
-    "iterate",
-    "converge",
-    "contraction_factor",
-    "linear_power_point",
-    "yager_power_point",
-    "orbit_csv",
-    # analysis
-    "PointVerdict",
-    "Verdict",
-    "ClassificationReport",
-    "InvolutionCheck",
-    "AxiomCheck",
-    "classify",
-    "classify_point",
-    "check_involution",
-    "fixed_point",
-    "negation_axioms_check",
-    "random_dist",
-    "report_as_dict",
+    *errors.__all__,
+    *simplex.__all__,
+    *negators.__all__,
+    *dynamics.__all__,
+    *analysis.__all__,
 ]

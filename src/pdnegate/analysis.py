@@ -57,10 +57,10 @@ from .negators import (
     Tsallis,
     Uniform,
     Yager,
+    format_negator,
     involutive_point,
     linear_point,
     negate,
-    yager_point,
 )
 
 __all__ = [
@@ -125,6 +125,26 @@ class InvolutionCheck(NamedTuple):
 class AxiomCheck(NamedTuple):
     ok: bool
     violation: str | None
+
+
+def _linear_alpha(spec: NegatorSpec) -> float | None:
+    """The weight ``alpha`` of the linear negator that ``spec`` equals
+    value for value, or None for the families that read the whole
+    distribution.
+
+    Yager is alpha = 0 and uniform alpha = 1; ``linear_point`` computes
+    their values bit for bit at those weights.
+    """
+    match spec:
+        case Yager():
+            return 0.0
+        case Uniform():
+            return 1.0
+        case Linear(alpha=alpha):
+            return alpha
+        case Tsallis() | Involutive():
+            return None
+    raise TypeError(f"not a negator spec: {spec!r}")
 
 
 def _point_verdict(p: float, np_: float, nnp: float, n: int, tol: Tolerance) -> PointVerdict:
@@ -252,22 +272,12 @@ def classify(
         raise LengthError(f"need n >= 2, got {n}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
+    alpha = _linear_alpha(spec)
     rng = random.Random(seed)
 
-    match spec:
-        case Yager():
-            f = lambda p: yager_point(p, n)  # noqa: E731
-        case Uniform():
-            f = lambda p: 1.0 / n  # noqa: E731
-        case Linear(alpha=alpha):
-            f = lambda p: linear_point(p, n, alpha)  # noqa: E731
-        case Involutive() | Tsallis():
-            f = None
-        case _:
-            raise TypeError(f"not a negator spec: {spec!r}")
-
     verdicts: list[PointVerdict] = []
-    if f is not None:
+    if alpha is not None:
+        f = lambda p: linear_point(p, n, alpha)  # noqa: E731
         for p in _grid_points(samples, rng):
             verdicts.append(classify_point(f, p, n, tol))
     else:
@@ -304,24 +314,6 @@ def check_involution(
     return InvolutionCheck(ok=err <= tol.tol_eq, max_error=err)
 
 
-def _pointwise_evaluator(
-    spec: NegatorSpec, n: int, context: Dist | None
-) -> Callable[[float], float] | None:
-    match spec:
-        case Yager():
-            return lambda p: yager_point(p, n)
-        case Uniform():
-            return lambda p: 1.0 / n
-        case Linear(alpha=alpha):
-            return lambda p: linear_point(p, n, alpha)
-        case Involutive():
-            s = stats(context if context is not None else random_dist(n, seed=0))
-            return lambda p: involutive_point(p, s)
-        case Tsallis():
-            return None
-    raise TypeError(f"not a negator spec: {spec!r}")
-
-
 def fixed_point(
     spec: NegatorSpec,
     n: int,
@@ -345,20 +337,26 @@ def fixed_point(
     if max_abs_diff(negate(spec, u), u) > tol.tol_eq:
         raise ArithmeticError(f"{spec!r} does not fix the uniform distribution")
 
-    f = _pointwise_evaluator(spec, n, context)
-    if f is not None:
-        if abs(f(fp) - fp) > tol.tol_eq:
-            raise ArithmeticError(f"{spec!r} does not fix {fp} pointwise")
-        step = 1.0 / 1000
-        for i in range(1001):
-            p = i * step
-            diff = f(p) - p
-            # A decreasing negator fixing 1/n must sit above the identity
-            # left of 1/n and below it to the right.
-            if p < fp - step and diff <= 0.0:
-                raise ArithmeticError(f"unexpected fixed point near p={p}")
-            if p > fp + step and diff >= 0.0:
-                raise ArithmeticError(f"unexpected fixed point near p={p}")
+    alpha = _linear_alpha(spec)
+    if alpha is not None:
+        f = lambda p: linear_point(p, n, alpha)  # noqa: E731
+    elif isinstance(spec, Involutive):
+        s = stats(context if context is not None else random_dist(n, seed=0))
+        f = lambda p: involutive_point(p, s)  # noqa: E731
+    else:
+        return fp
+    if abs(f(fp) - fp) > tol.tol_eq:
+        raise ArithmeticError(f"{spec!r} does not fix {fp} pointwise")
+    step = 1.0 / 1000
+    for i in range(1001):
+        p = i * step
+        diff = f(p) - p
+        # A decreasing negator fixing 1/n must sit above the identity
+        # left of 1/n and below it to the right.
+        if p < fp - step and diff <= 0.0:
+            raise ArithmeticError(f"unexpected fixed point near p={p}")
+        if p > fp + step and diff >= 0.0:
+            raise ArithmeticError(f"unexpected fixed point near p={p}")
     return fp
 
 
@@ -412,8 +410,6 @@ def random_dist(n: int, seed: int) -> Dist:
 
 def report_as_dict(report: ClassificationReport) -> dict:
     """JSON-ready form of a classification report."""
-    from .negators import format_negator
-
     return {
         "spec": format_negator(report.spec),
         "n": report.n,

@@ -28,7 +28,7 @@ from .dynamics import (
     orbit_csv,
 )
 from .errors import DomainError
-from .negators import negate, parse_negator
+from .negators import _SPEC_SYNTAX, negate, parse_negator
 from .simplex import Dist, entropy, make_dist, parse_dist
 
 __all__ = ["run", "main", "build_parser"]
@@ -44,12 +44,15 @@ def _read_dist(text: str) -> Dist:
             text = fh.read()
     text = text.strip()
     if text.startswith("["):
-        data = json.loads(text)
-        if not isinstance(data, list) or any(
-            isinstance(x, bool) or not isinstance(x, (int, float)) for x in data
-        ):
+        # Integers are read as floats, so one too large for a float
+        # becomes inf and is rejected by make_dist like any other.
+        try:
+            data = json.loads(text, parse_int=float)
+        except RecursionError:
+            raise ValueError("JSON distribution is nested too deeply") from None
+        if not isinstance(data, list) or not all(isinstance(x, float) for x in data):
             raise ValueError("JSON distribution must be an array of numbers")
-        return make_dist([float(x) for x in data])
+        return make_dist(data)
     return parse_dist(text)
 
 
@@ -119,10 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
-    negator_help = (
-        "negator family: yager, uniform, linear:alpha=<float>, "
-        "tsallis:k=<float>, involutive"
-    )
+    negator_help = f"negator family: {_SPEC_SYNTAX}"
     dist_help = "distribution: comma-separated floats, JSON array, or @file.json"
 
     p = sub.add_parser("negate", help="negate a distribution once")

@@ -171,22 +171,19 @@ def converge(
     eps: float = 1e-9,
     max_iter: int = 1000,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    full_history: bool = False,
 ) -> ConvergenceOutcome:
     """Iterate until the orbit lands within ``eps`` of uniform (max norm),
     revisits an earlier distribution, or exhausts ``max_iter`` steps.
 
-    By default each step is compared with the step two before it: period
-    2 is the only cycle the shipped families can produce, and this finds
-    it however late the orbit falls into it. A match counts only when
-    the step in between lies more than ``tol.tol_eq`` away and, after
-    step 2, when that gap has stopped shrinking. An orbit that closes in
+    Each step is compared with the step two before it: period 2 is the
+    only cycle the shipped families can produce, and this finds it
+    however late the orbit falls into it. A match counts only when the
+    step in between lies more than ``tol.tol_eq`` away and, after step 2,
+    when that gap has stopped shrinking. An orbit that closes in
     on uniform while alternating sides also comes back within
     ``tol.tol_eq`` of its step two before, but its gap shrinks by the
     contraction factor every step. A frozen non-uniform point is not
     reported either; such an orbit runs to ``MaxIterReached``.
-    ``full_history`` instead keeps every entry and reports a recurrence
-    at any gap of two or more, for exploratory use.
     """
     if not eps > 0.0:
         raise DomainError(f"eps must be > 0, got {eps!r}")
@@ -196,18 +193,11 @@ def converge(
     current = dist
     if linf_to_uniform(current) < eps:
         return Converged(0, current)
-    seen: list[tuple[int, Dist]] = [(0, current)]
     before, previous, last_gap = None, current, 0.0
     for k in range(1, max_iter + 1):
         current = negate(spec, current)
         if linf_to_uniform(current) < eps:
             return Converged(k, current)
-        if full_history:
-            for j, earlier in seen:
-                if k - j >= 2 and max_abs_diff(current, earlier) <= tol.tol_eq:
-                    return Oscillating(period=k - j, witness=earlier)
-            seen.append((k, current))
-            continue
         gap = max_abs_diff(current, previous)
         if (
             before is not None

@@ -1,5 +1,16 @@
 """Exception types shared across the package."""
 
+__all__ = [
+    "SimplexError",
+    "LengthError",
+    "RangeError",
+    "SumError",
+    "LengthMismatchError",
+    "DomainError",
+    "DegenerateStatsError",
+    "NegatorSyntaxError",
+]
+
 
 class SimplexError(ValueError):
     """A sequence of values failed probability-distribution validation."""

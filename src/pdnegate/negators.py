@@ -21,7 +21,7 @@ Every family fixes the value 1/n and therefore the uniform distribution.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .errors import (
     DegenerateStatsError,
@@ -79,8 +79,9 @@ class Tsallis:
     ``k != 0``.
 
     Negative k requires strictly positive probabilities. An exponent so
-    close to 0 that every p_i**k rounds to 1 leaves the denominator zero;
-    ``negate`` raises ``DomainError`` for it.
+    close to 0 that every p_i**k rounds to 1 leaves the denominator zero,
+    and a negative one can make some p_i**k overflow; ``negate`` raises
+    ``DomainError`` for both.
     """
 
     k: float
@@ -223,8 +224,13 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
                 raise DomainError(
                     "tsallis with k < 0 requires strictly positive probabilities"
                 )
-            powers = [p**k for p in vals]
-            denom = n - math.fsum(powers)
+            try:
+                powers = [p**k for p in vals]
+                denom = n - math.fsum(powers)
+            except OverflowError:
+                raise DomainError(
+                    f"tsallis:k={k!r} overflows p**k on this distribution"
+                ) from None
             # Zero when every p**k rounds to 1, as for k = 1e-320.
             if denom == 0.0:
                 raise DomainError(
@@ -261,53 +267,52 @@ def involutive_negated_stats(s: DistStats) -> DistStats:
     return DistStats(max_p=hi, min_p=lo, mp=hi + lo, n=s.n)
 
 
-_PLAIN_FAMILIES = {"yager": Yager, "uniform": Uniform, "involutive": Involutive}
+# The spec classes are the family table. A family's spec text is its
+# lowercased class name, followed by ``:<field>=<float>`` when its
+# dataclass has a parameter field, so renaming either changes the syntax.
+_FAMILIES = (Yager, Uniform, Linear, Tsallis, Involutive)
+
+_SPEC_SYNTAX = ", ".join(
+    family.__name__.lower() + "".join(f":{f.name}=<float>" for f in fields(family))
+    for family in _FAMILIES
+)
 
 
 def parse_negator(text: str) -> NegatorSpec:
     """Parse the textual negator syntax.
 
-    Accepted forms: ``yager``, ``uniform``, ``involutive``,
-    ``linear:alpha=<float>``, ``tsallis:k=<float>``. Malformed text raises
+    Accepted forms: ``yager``, ``uniform``, ``linear:alpha=<float>``,
+    ``tsallis:k=<float>``, ``involutive``. Malformed text raises
     ``NegatorSyntaxError``; well-formed text with an out-of-domain
     parameter raises ``DomainError``.
     """
     head, sep, rest = text.strip().partition(":")
-    family = head.strip().lower()
+    name = head.strip().lower()
+    family = next((f for f in _FAMILIES if f.__name__.lower() == name), None)
+    if family is None:
+        raise NegatorSyntaxError(f"unknown negator {name!r}; expected one of {_SPEC_SYNTAX}")
 
-    if family in _PLAIN_FAMILIES:
+    params = fields(family)
+    if not params:
         if sep:
-            raise NegatorSyntaxError(f"{family!r} takes no parameters, got {text!r}")
-        return _PLAIN_FAMILIES[family]()
+            raise NegatorSyntaxError(f"{name!r} takes no parameters, got {text!r}")
+        return family()
 
-    if family in ("linear", "tsallis"):
-        expected = "alpha" if family == "linear" else "k"
-        key, eq, value_text = rest.partition("=")
-        if not sep or key.strip() != expected or not eq:
-            raise NegatorSyntaxError(f"expected {family}:{expected}=<float>, got {text!r}")
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise NegatorSyntaxError(f"{expected}={value_text!r} is not a number") from None
-        return Linear(value) if family == "linear" else Tsallis(value)
-
-    raise NegatorSyntaxError(
-        f"unknown negator {family!r}; expected yager, uniform, involutive, "
-        f"linear:alpha=<float> or tsallis:k=<float>"
-    )
+    expected = params[0].name
+    key, eq, value_text = rest.partition("=")
+    if not sep or key.strip() != expected or not eq:
+        raise NegatorSyntaxError(f"expected {name}:{expected}=<float>, got {text!r}")
+    try:
+        value = float(value_text)
+    except ValueError:
+        raise NegatorSyntaxError(f"{expected}={value_text!r} is not a number") from None
+    return family(value)
 
 
 def format_negator(spec: NegatorSpec) -> str:
     """Inverse of :func:`parse_negator`."""
-    match spec:
-        case Yager():
-            return "yager"
-        case Uniform():
-            return "uniform"
-        case Involutive():
-            return "involutive"
-        case Linear(alpha=alpha):
-            return f"linear:alpha={alpha!r}"
-        case Tsallis(k=k):
-            return f"tsallis:k={k!r}"
-    raise TypeError(f"not a negator spec: {spec!r}")
+    if type(spec) not in _FAMILIES:
+        raise TypeError(f"not a negator spec: {spec!r}")
+    return type(spec).__name__.lower() + "".join(
+        f":{f.name}={getattr(spec, f.name)!r}" for f in fields(spec)
+    )

@@ -1,6 +1,7 @@
 """Classification, involution checks, fixed points, axiom oracle."""
 
 import math
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -167,6 +168,16 @@ class TestClassify:
             classify(Yager(), 1, 10, seed=0)
         with pytest.raises(DomainError):
             classify(Yager(), 3, 0, seed=0)
+        with pytest.raises(TypeError):
+            classify("yager", 3, 10, seed=0)  # type: ignore[arg-type]
+
+    @pytest.mark.parametrize("n", [2, 5, 100])
+    @pytest.mark.parametrize(
+        "spec, linear", [(Yager(), Linear(0.0)), (Uniform(), Linear(1.0))]
+    )
+    def test_yager_and_uniform_classify_as_linear(self, spec, linear, n):
+        got = classify(spec, n, samples=50, seed=11)
+        assert replace(got, spec=linear) == classify(linear, n, samples=50, seed=11)
 
     def test_report_as_dict_shape(self):
         r = classify(Linear(0.5), 4, samples=20, seed=5)

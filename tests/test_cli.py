@@ -1,10 +1,16 @@
 """End-to-end command-line behavior: payloads, formats, exit codes."""
 
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdnegate.cli import run
+from pdnegate.negators import _SPEC_SYNTAX
 
 from test_dynamics import TestOrbitCsv
 
@@ -233,6 +239,7 @@ class TestExitCodes:
             ["negate", "--negator", "tsallis:k=inf", "--dist", "0.5,0.5"],
             ["negate", "--negator", "tsallis:k=1e-320", "--dist", "0.2,0.3,0.5"],
             ["converge", "--negator", "yager", "--dist", "0.3,0.7", "--eps", "nan"],
+            ["negate", "--negator", "tsallis:k=-2", "--dist", "[1e-200, 1.0]"],
         ],
     )
     def test_tsallis_and_eps_edges_are_domain_errors(self, capsys, argv):
@@ -240,6 +247,28 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "dist",
+        [
+            "[" * 200_000,  # nested past the recursion limit
+            "[1" + "0" * 400 + ", 0]",  # an integer too large for a float
+        ],
+        ids=["deep", "huge_int"],
+    )
+    def test_unreadable_json_is_input_error(self, capsys, dist):
+        code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", dist)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command", ["negate", "iterate", "converge", "classify", "fixed-point"]
+    )
+    def test_help_lists_negator_syntax(self, capsys, command):
+        code, out, _ = invoke(capsys, command, "--help")
+        assert code == 0
+        assert _SPEC_SYNTAX in " ".join(out.split())
 
     def test_stdout_stays_machine_parseable(self, capsys):
         """Success paths print exactly one JSON payload, no banners."""
@@ -251,4 +280,138 @@ class TestExitCodes:
             code, out, err = invoke(capsys, *argv)
             assert code == 0
             assert err == ""
+            json.loads(out)
+
+
+def _mostly(valid, invalid):
+    """Draw from ``valid`` three times in four, else from ``invalid``."""
+    return st.integers(0, 3).flatmap(lambda i: valid if i else invalid)
+
+
+def _ints(lo, hi):
+    # No value above ``hi``: a huge length or step count would run for
+    # as long as it asks, which is not a fault.
+    return _mostly(
+        st.integers(lo, hi).map(str),
+        st.one_of(
+            st.integers(max_value=lo - 1).map(str),
+            st.sampled_from(["", "x", "2.5", "1e3"]),
+        ),
+    )
+
+
+def _floats_text():
+    return st.floats(allow_nan=True, allow_infinity=True).map(repr)
+
+
+def _weights(min_size):
+    return st.lists(st.floats(1e-3, 1.0), min_size=min_size, max_size=6).map(
+        lambda w: [x / math.fsum(w) for x in w]
+    )
+
+
+_NEGATOR_TEXTS = _mostly(
+    st.one_of(
+        st.sampled_from(["yager", "uniform", "involutive"]),
+        st.floats(0.0, 1.0).map(lambda a: f"linear:alpha={a!r}"),
+        st.floats(-5.0, 5.0).filter(bool).map(lambda k: f"tsallis:k={k!r}"),
+    ),
+    st.one_of(
+        st.sampled_from(
+            [
+                # malformed
+                "", "bogus", "linear", "linear:alpha=", "tsallis:alpha=1", "yager:k=1",
+                # out of domain
+                "linear:alpha=2", "linear:alpha=nan", "tsallis:k=0", "tsallis:k=inf",
+                # huge or tiny k
+                "tsallis:k=1e308", "tsallis:k=-1e308", "tsallis:k=1e-320",
+                "tsallis:k=-1e-300", "tsallis:k=1e-17", "tsallis:k=-2",
+            ]
+        ),
+        _floats_text().map(lambda k: f"tsallis:k={k}"),
+        _floats_text().map(lambda a: f"linear:alpha={a}"),
+        st.text(max_size=12),
+    ),
+)
+
+_DIST_TEXTS = _mostly(
+    st.one_of(
+        st.sampled_from(["[1, 0]", "0.2,0.3,0.5", "1e-200,1"]),
+        _weights(2).map(lambda v: ",".join(map(repr, v))),
+        _weights(2).map(json.dumps),
+    ),
+    st.one_of(
+        st.sampled_from(
+            [
+                # malformed or NaN
+                "", "1", "0.5,0.6", "nan,0.5", "[NaN, 1]", "[]", "{}", "[true, false]",
+                # deep or huge JSON, missing file
+                "[" * 100_000, "[1" + "0" * 400 + ", 0]", "1e400,0", "@no-such-file.json",
+            ]
+        ),
+        # a distribution without its last entry: the sum falls short of 1
+        _weights(0).map(lambda v: ",".join(map(repr, v[:-1]))),
+        # Other @paths could name any file, such as an endless device.
+        st.text(max_size=12).filter(lambda t: not t.startswith("@")),
+    ),
+)
+
+# Sizes stay small so every accepted command finishes quickly.
+_FLAG_VALUES = {
+    "--negator": _NEGATOR_TEXTS,
+    "--dist": _DIST_TEXTS,
+    "-k": _ints(0, 12),
+    "--format": _mostly(st.sampled_from(["json", "csv"]), st.just("xml")),
+    "--eps": _mostly(
+        st.floats(1e-15, 1e-3).map(repr),
+        st.one_of(st.sampled_from(["0", "-1", "nan", "x"]), _floats_text()),
+    ),
+    "--max-iter": _ints(1, 60),
+    "--n": _ints(2, 12),
+    "--samples": _ints(1, 30),
+    "--seed": _ints(-5, 5),
+}
+
+_COMMAND_FLAGS = {
+    "negate": ["--negator", "--dist"],
+    "iterate": ["--negator", "--dist", "-k", "--format"],
+    "converge": ["--negator", "--dist", "--eps", "--max-iter"],
+    "classify": ["--negator", "--n", "--samples", "--seed"],
+    "entropy": ["--dist"],
+    "fixed-point": ["--negator", "--n"],
+}
+
+
+@st.composite
+def _argvs(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    argv = [command]
+    for flag in _COMMAND_FLAGS[command]:
+        if draw(st.integers(0, 19)):  # now and then a flag is left out
+            argv += [flag, draw(_FLAG_VALUES[flag])]
+    return argv
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_argvs())
+    def test_run_never_raises(self, argv):
+        """Any argv ends in exit 0, 1 or 2; a success prints exactly one
+        payload on stdout and a failure prints nothing there."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)
+        out = out.getvalue()
+        assert code in (0, 1, 2)
+        if code != 0:
+            assert out == ""
+            return
+        assert err.getvalue() == ""
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        if flags.get("--format") == "csv":
+            header, *rows = out.splitlines()
+            assert header.startswith("k,") and rows
+            assert all(row.count(",") == header.count(",") for row in rows)
+        else:
+            assert out.endswith("\n") and out.count("\n") == 1
             json.loads(out)

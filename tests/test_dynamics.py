@@ -207,11 +207,6 @@ class TestConverge:
         assert isinstance(out, MaxIterReached)
         assert linf_to_uniform(out.last) == pytest.approx(0.8 * 0.25**3, abs=1e-15)
 
-    def test_full_history_agrees_on_period_two(self):
-        out = converge(Involutive(), EXAMPLE, full_history=True)
-        assert isinstance(out, Oscillating)
-        assert out.period == 2
-
     def test_late_two_cycle_is_oscillating(self):
         # tsallis k = 0.5 reaches the cycle (1, 0) <-> (0, 1) only after
         # several steps, so comparing with the start never finds it.

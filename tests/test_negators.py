@@ -36,6 +36,8 @@ from pdnegate import (
     yager_point,
 )
 
+from pdnegate.negators import _SPEC_SYNTAX
+
 from conftest import ALPHA_GRID, all_specs, dists, positive_dists
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
@@ -67,6 +69,17 @@ class TestSpecValidation:
         for k in (1e-320, -1e-300):
             with pytest.raises(DomainError):
                 negate(Tsallis(k), make_dist([0.2, 0.3, 0.5]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [1e-200, 1.0],  # p**k overflows
+            [1e-154, 1e-154, 1.0],  # each p**k is finite, their sum is not
+        ],
+    )
+    def test_tsallis_overflow_is_domain_error(self, values):
+        with pytest.raises(DomainError):
+            negate(Tsallis(-2.0), make_dist(values))
 
 
 class TestNegateExamples:
@@ -393,6 +406,17 @@ class TestNegatorSyntax:
     def test_round_trip(self):
         for spec in (Yager(), Uniform(), Linear(0.25), Tsallis(2.0), Involutive()):
             assert parse_negator(format_negator(spec)) == spec
+
+    def test_syntax_table_round_trip(self):
+        """Every form the advertised syntax lists parses, and formats back
+        to the same text; together they name every family."""
+        families = set()
+        for entry in _SPEC_SYNTAX.split(", "):
+            text = entry.replace("<float>", "0.5")
+            spec = parse_negator(text)
+            assert format_negator(spec) == text
+            families.add(type(spec))
+        assert families == {Yager, Uniform, Linear, Tsallis, Involutive}
 
     def test_syntax_errors(self):
         for text in (
