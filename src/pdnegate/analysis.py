@@ -44,8 +44,8 @@ from .simplex import (
     DEFAULT_TOLERANCE,
     Dist,
     Tolerance,
+    _validated,
     linf_to_uniform,
-    make_dist,
     max_abs_diff,
     stats,
     uniform_dist,
@@ -399,13 +399,13 @@ def random_dist(n: int, seed: int) -> Dist:
     """
     if n < 2:
         raise LengthError(f"need n >= 2, got {n}")
-    rng = random.Random(seed)
+    expovariate = random.Random(seed).expovariate
     while True:
-        draws = [rng.expovariate(1.0) for _ in range(n)]
+        draws = [expovariate(1.0) for _ in range(n)]
         total = math.fsum(draws)
-        values = [d / total for d in draws]
+        values = tuple([d / total for d in draws])
         if min(values) > 0.0:
-            return make_dist(values)
+            return _validated(values)
 
 
 def report_as_dict(report: ClassificationReport) -> dict:

@@ -21,6 +21,7 @@ from collections.abc import Sequence
 from .analysis import classify, fixed_point, report_as_dict
 from .dynamics import (
     Converged,
+    LeftDomain,
     MaxIterReached,
     Oscillating,
     converge,
@@ -95,14 +96,25 @@ def _cmd_converge(args: argparse.Namespace) -> str:
             }
         case MaxIterReached(last=last):
             payload = {"outcome": "max_iter_reached", "last": list(last.values)}
-        case _:  # pragma: no cover - converge returns one of the three
+        case LeftDomain(steps=k, last=last):
+            payload = {"outcome": "left_domain", "steps": k, "last": list(last.values)}
+        case _:  # pragma: no cover - converge returns one of the four
             raise AssertionError(f"unexpected outcome {outcome!r}")
     return _json_line(payload)
 
 
+def _length(n: int) -> int:
+    # The library raises LengthError (malformed input) for n < 2. On the
+    # command line --n is a count parameter like --samples, -k and
+    # --max-iter, whose bad values exit 2, so it does too.
+    if n < 2:
+        raise DomainError(f"--n must be >= 2, got {n}")
+    return n
+
+
 def _cmd_classify(args: argparse.Namespace) -> str:
     spec = parse_negator(args.negator)
-    report = classify(spec, args.n, args.samples, args.seed)
+    report = classify(spec, _length(args.n), args.samples, args.seed)
     return _json_line(report_as_dict(report))
 
 
@@ -112,7 +124,7 @@ def _cmd_entropy(args: argparse.Namespace) -> str:
 
 def _cmd_fixed_point(args: argparse.Namespace) -> str:
     spec = parse_negator(args.negator)
-    return _json_line(fixed_point(spec, args.n))
+    return _json_line(fixed_point(spec, _length(args.n)))
 
 
 def build_parser() -> argparse.ArgumentParser:

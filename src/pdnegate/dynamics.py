@@ -37,6 +37,7 @@ __all__ = [
     "Converged",
     "Oscillating",
     "MaxIterReached",
+    "LeftDomain",
     "ConvergenceOutcome",
     "iterate",
     "linear_power_point",
@@ -112,7 +113,17 @@ class MaxIterReached:
     last: Dist
 
 
-ConvergenceOutcome = Converged | Oscillating | MaxIterReached
+@dataclass(frozen=True)
+class LeftDomain:
+    """Orbit left the family's domain: ``steps`` negations succeeded, the
+    next one raised ``DomainError`` on ``last``, the distribution they
+    reached."""
+
+    steps: int
+    last: Dist
+
+
+ConvergenceOutcome = Converged | Oscillating | MaxIterReached | LeftDomain
 
 
 def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
@@ -184,6 +195,11 @@ def converge(
     ``tol.tol_eq`` of its step two before, but its gap shrinks by the
     contraction factor every step. A frozen non-uniform point is not
     reported either; such an orbit runs to ``MaxIterReached``.
+
+    An orbit whose later step falls outside the family's domain, such as
+    tsallis with k < 0 once an entry underflows to 0, ends in
+    ``LeftDomain``. A ``DomainError`` from the first step still
+    propagates: then ``dist`` itself is outside the domain.
     """
     if not eps > 0.0:
         raise DomainError(f"eps must be > 0, got {eps!r}")
@@ -195,7 +211,12 @@ def converge(
         return Converged(0, current)
     before, previous, last_gap = None, current, 0.0
     for k in range(1, max_iter + 1):
-        current = negate(spec, current)
+        try:
+            current = negate(spec, current)
+        except DomainError:
+            if k == 1:
+                raise
+            return LeftDomain(k - 1, current)
         if linf_to_uniform(current) < eps:
             return Converged(k, current)
         gap = max_abs_diff(current, previous)

@@ -30,7 +30,7 @@ from .errors import (
     NegatorSyntaxError,
     RangeError,
 )
-from .simplex import DEFAULT_TOLERANCE, Dist, DistStats, make_dist
+from .simplex import Dist, DistStats, _validated
 
 __all__ = [
     "Yager",
@@ -246,11 +246,12 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
         case _:
             raise TypeError(f"not a negator spec: {spec!r}")
     # Snapping cannot change a list that is already inside [0, 1], so it
-    # is only tried once validation has found a value outside.
+    # is only tried once validation has found a value outside. Every value
+    # is a float already, so make_dist's coercion is skipped.
     try:
-        return make_dist(out, DEFAULT_TOLERANCE)
+        return _validated(tuple(out))
     except RangeError:
-        return make_dist(_snap_unit(out), DEFAULT_TOLERANCE)
+        return _validated(tuple(_snap_unit(out)))
 
 
 def involutive_negated_stats(s: DistStats) -> DistStats:

@@ -18,6 +18,7 @@ linear negation contracts at an exactly geometric rate.
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
@@ -119,12 +120,29 @@ def make_dist(values: Iterable[float], tol: Tolerance = DEFAULT_TOLERANCE) -> Di
     value outside [0, 1], ``SumError`` when the total strays from one by
     more than ``tol.tol_simplex``.
     """
-    vals = tuple(map(float, values))
+    return _validated(tuple(map(float, values)), tol)
+
+
+def _validated(vals: tuple[float, ...], tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
+    """:func:`make_dist` on a tuple that holds only floats already, as the
+    negators' and samplers' outputs do: the same checks, without coercion."""
     if len(vals) < 2:
         raise LengthError(f"need at least 2 values, got {len(vals)}")
     # Fast path. min and max skip a NaN that is not first, but such a NaN
-    # makes the sum NaN, which fails the sum test as written.
+    # makes the sum NaN, which fails both sum tests as written.
     if 0.0 <= min(vals) and max(vals) <= 1.0:
+        # With every value in [0, 1], a plain left-to-right sum is off from
+        # the exact sum S by at most gamma_(n-1) * S, about (n-1) * 2**-53 * S
+        # (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and
+        # fsum's result is off by one rounding, at most 2**-53 * S. For S
+        # near 1 the margin n * 2**-52 covers both about twice over, so
+        # whatever this test accepts the fsum test accepts too, and fsum
+        # decides the rest. From Python 3.12 on, sum() of floats is
+        # compensated and its error is smaller still. Past about
+        # tol_simplex * 2**52 values (4.5e6 at the default) the margin
+        # exceeds the tolerance and fsum decides every input.
+        if abs(sum(vals) - 1.0) <= tol.tol_simplex - len(vals) * 2**-52:
+            return Dist(vals)
         if abs(math.fsum(vals) - 1.0) <= tol.tol_simplex:
             return Dist(vals)
     # Slow path, only to name the fault: the first value outside [0, 1],
@@ -153,7 +171,7 @@ def point_dist(n: int, i: int) -> Dist:
 
 def entropy(dist: Dist) -> float:
     """Quadratic entropy sum((1 - p) * p), in [0, (n-1)/n]."""
-    return math.fsum((1.0 - v) * v for v in dist)
+    return math.fsum([(1.0 - v) * v for v in dist.values])
 
 
 def max_entropy(n: int) -> float:
@@ -166,8 +184,11 @@ def max_entropy(n: int) -> float:
 
 def linf_to_uniform(dist: Dist) -> float:
     """Max-norm distance to the uniform distribution of the same length."""
-    u = 1.0 / dist.n
-    return max(abs(v - u) for v in dist)
+    # Equal to max(abs(v - u)): rounding is monotone, so the largest v - u
+    # comes from max(v), and u - v is exactly -(v - u).
+    vals = dist.values
+    u = 1.0 / len(vals)
+    return max(max(vals) - u, u - min(vals))
 
 
 def stats(dist: Dist) -> DistStats:
@@ -181,7 +202,7 @@ def max_abs_diff(a: Dist, b: Dist) -> float:
     """Largest componentwise absolute difference between two distributions."""
     if a.n != b.n:
         raise LengthMismatchError(f"lengths differ: {a.n} vs {b.n}")
-    return max(abs(x - y) for x, y in zip(a, b))
+    return max(map(abs, map(operator.sub, a.values, b.values)))
 
 
 def dists_equal(a: Dist, b: Dist, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:

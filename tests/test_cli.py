@@ -139,6 +139,18 @@ class TestConvergeCommand:
         assert code == 0
         assert json.loads(out)["outcome"] == "max_iter_reached"
 
+    def test_left_domain(self, capsys):
+        code, out, _ = invoke(
+            capsys, "converge", "--negator", "tsallis:k=-1", "--dist",
+            "0.1,0.2,0.3,0.4", "--eps", "1e-12",
+        )
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["outcome", "steps", "last"]
+        assert payload["outcome"] == "left_domain"
+        assert payload["steps"] == 14
+        assert len(payload["last"]) == 4
+
     def test_bad_eps_is_domain_error(self, capsys):
         code, out, err = invoke(
             capsys, "converge", "--negator", "yager", "--dist", "0.5,0.5",
@@ -191,6 +203,30 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err != ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "--negator", "yager", "--n", "1", "--seed", "0"],
+            ["fixed-point", "--negator", "yager", "--n", "1"],
+            ["classify", "--negator", "yager", "--n", "3", "--samples", "0",
+             "--seed", "0"],
+            ["iterate", "--negator", "yager", "--dist", "0.5,0.5", "-k", "-1"],
+            ["converge", "--negator", "yager", "--dist", "0.3,0.7", "--max-iter", "0"],
+        ],
+        ids=["classify_n", "fixed_point_n", "samples", "steps", "max_iter"],
+    )
+    def test_bad_count_flags_are_domain_errors(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_one_value_dist_is_input_error(self, capsys):
+        code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", "1")
+        assert code == 1
+        assert out == ""
+        assert "at least 2 values" in err
 
     def test_bad_sum_is_input_error(self, capsys):
         code, out, err = invoke(

@@ -10,6 +10,7 @@ from pdnegate import (
     Converged,
     DomainError,
     Involutive,
+    LeftDomain,
     Linear,
     MaxIterReached,
     Oscillating,
@@ -256,6 +257,23 @@ class TestConverge:
     def test_tsallis_positive_k_converges(self, d):
         out = converge(Tsallis(2.0), d, eps=1e-9, max_iter=2000)
         assert isinstance(out, Converged)
+
+    def test_leaving_the_domain_is_an_outcome(self):
+        # With k < 0 this orbit heads for a vertex; at step 14 an entry
+        # has underflowed to 0, where p**k is undefined.
+        spec, start = Tsallis(-1.0), make_dist([0.1, 0.2, 0.3, 0.4])
+        out = converge(spec, start, eps=1e-12)
+        assert isinstance(out, LeftDomain)
+        assert out.steps == 14
+        assert out.last == iterate(spec, start, out.steps).last.dist
+        with pytest.raises(DomainError):
+            negate(spec, out.last)
+        with pytest.raises(DomainError):
+            iterate(spec, start, out.steps + 1)
+
+    def test_start_outside_the_domain_still_raises(self):
+        with pytest.raises(DomainError):
+            converge(Tsallis(-1.0), point_dist(3, 1))
 
     def test_tsallis_point_mass_n2_oscillates(self):
         # sum(p**k) = 1 at a point mass, so for n=2 the step is an exact

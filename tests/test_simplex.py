@@ -1,10 +1,12 @@
 """Distribution construction, validation, entropy, and distance."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdnegate import (
     DEFAULT_TOLERANCE,
@@ -13,6 +15,7 @@ from pdnegate import (
     LengthError,
     LengthMismatchError,
     RangeError,
+    SimplexError,
     SumError,
     Tolerance,
     dists_equal,
@@ -24,6 +27,7 @@ from pdnegate import (
     max_entropy,
     parse_dist,
     point_dist,
+    random_dist,
     stats,
     uniform_dist,
 )
@@ -105,6 +109,121 @@ class TestMakeDist:
         assert isinstance(d, Dist)
         assert all(0.0 <= v <= 1.0 for v in d)
         assert abs(math.fsum(d) - 1.0) <= DEFAULT_TOLERANCE.tol_simplex
+
+
+def _reference_make_dist(values, tol):
+    """The plain validator: coerce, check each value's range, then decide
+    the sum with fsum alone."""
+    vals = tuple(float(v) for v in values)
+    if len(vals) < 2:
+        raise LengthError(f"need at least 2 values, got {len(vals)}")
+    for i, v in enumerate(vals):
+        if not 0.0 <= v <= 1.0:
+            raise RangeError(f"value {v!r} at position {i + 1} outside [0, 1]")
+    if not abs(math.fsum(vals) - 1.0) <= tol.tol_simplex:
+        raise SumError(
+            f"values sum to {math.fsum(vals)!r}, not 1 within {tol.tol_simplex}"
+        )
+    return Dist(vals)
+
+
+def _outcome(validate, values, tol):
+    try:
+        return tuple(v.hex() for v in validate(values, tol).values)
+    except SimplexError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def near_edge_values(draw):
+    """Values whose sum lies within a few ulps of 1 - tol or 1 + tol, or
+    just inside by about the fast sum test's margin of n ulps, with now
+    and then one value out of range, NaN or infinite."""
+    n = draw(
+        st.one_of(
+            st.integers(2, 20), st.integers(2, 10_000), st.sampled_from([1000, 10_000])
+        )
+    )
+    tol = 10.0 ** draw(st.floats(-15.0, -6.0))
+    side = draw(st.sampled_from([-1.0, 1.0]))
+    inside = draw(st.sampled_from([0, n, 2 * n]))
+    offset = (draw(st.integers(-8, 8)) - inside) * 2**-52
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    target = 1.0 + side * (tol + offset)
+    # Equal weights make the plain sum's rounding errors pile up in one
+    # direction, so it strays from fsum by a number of ulps growing with n.
+    power = draw(st.sampled_from([0, 1, 4]))
+    weights = [(1e-3 + rng.random()) ** power for _ in range(n)]
+    total = math.fsum(weights)
+    values = [w / total * target for w in weights]
+    values[-1] = target - math.fsum(values[:-1])
+    for _ in range(draw(st.integers(0, 3))):
+        i = rng.randrange(n)
+        values[i] = math.nextafter(values[i], rng.choice((0.0, 1.0)))
+    if draw(st.integers(0, 7)) == 0:
+        bad = [math.nan, math.inf, -math.inf, -5e-324, 1.0 + 2**-52]
+        values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(bad))
+    return values, Tolerance(tol_simplex=tol)
+
+
+class TestSameDecisions:
+    """make_dist accepts a plain sum only well inside the tolerance and
+    lets fsum decide the rest; its results, errors and messages must be
+    those of the fsum-only validator."""
+
+    @given(near_edge_values())
+    @settings(max_examples=500, deadline=None)
+    def test_near_edge_sums(self, case):
+        values, tol = case
+        assert _outcome(make_dist, values, tol) == _outcome(
+            _reference_make_dist, values, tol
+        )
+
+    @pytest.mark.parametrize(
+        "values",
+        [[], [1.0], [0.5, 0.6], [1.0, 2e-9], [-0.0, 1.0], [0, 1], ["0.5", "0.5"]],
+    )
+    def test_short_rejected_and_coerced_inputs(self, values):
+        assert _outcome(make_dist, values, DEFAULT_TOLERANCE) == _outcome(
+            _reference_make_dist, values, DEFAULT_TOLERANCE
+        )
+
+
+def _reference_measures(a, b):
+    u = 1.0 / a.n
+    return (
+        math.fsum((1.0 - v) * v for v in a),
+        max(abs(v - u) for v in a),
+        max(abs(x - y) for x, y in zip(a, b)),
+    )
+
+
+def _measures_bits(a, b):
+    """The measures and their references as hex strings, so that equal
+    also means the same sign of zero."""
+    got = (entropy(a), linf_to_uniform(a), max_abs_diff(a, b))
+    return [v.hex() for v in got], [v.hex() for v in _reference_measures(a, b)]
+
+
+class TestMeasuresExact:
+    """entropy, linf_to_uniform and max_abs_diff give the bits of their
+    generator-expression definitions."""
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 100, 10_000])
+    def test_random_point_and_uniform(self, n):
+        sample = [random_dist(n, seed=s) for s in range(3)]
+        sample += [point_dist(n, 1), point_dist(n, n), uniform_dist(n)]
+        for a in sample:
+            for b in sample:
+                got, want = _measures_bits(a, b)
+                assert got == want
+
+    @given(dists(max_n=30), dists(max_n=30))
+    def test_generated(self, a, b):
+        if a.n != b.n:
+            b = uniform_dist(a.n)
+        got, want = _measures_bits(a, b)
+        assert got == want
 
 
 class TestFactories:
