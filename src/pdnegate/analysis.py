@@ -39,11 +39,12 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, LengthError, LengthMismatchError
+from .errors import DomainError, LengthMismatchError
 from .simplex import (
     DEFAULT_TOLERANCE,
     Dist,
     Tolerance,
+    _check_length,
     _validated,
     linf_to_uniform,
     max_abs_diff,
@@ -268,8 +269,7 @@ def classify(
     check (see the module docstring for why pointwise brackets are not
     usable there).
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _check_length(n)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     alpha = _linear_alpha(spec)
@@ -330,8 +330,7 @@ def fixed_point(
     has no context-free pointwise form, so only the uniform-distribution
     check applies there.
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _check_length(n)
     fp = 1.0 / n
     u = uniform_dist(n)
     if max_abs_diff(negate(spec, u), u) > tol.tol_eq:
@@ -397,8 +396,7 @@ def random_dist(n: int, seed: int) -> Dist:
     coordinates come out strictly positive, so every family (including
     tsallis with k < 0) accepts the result.
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _check_length(n)
     expovariate = random.Random(seed).expovariate
     while True:
         draws = [expovariate(1.0) for _ in range(n)]

@@ -17,17 +17,10 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from dataclasses import fields, is_dataclass
 
 from .analysis import classify, fixed_point, report_as_dict
-from .dynamics import (
-    Converged,
-    LeftDomain,
-    MaxIterReached,
-    Oscillating,
-    converge,
-    iterate,
-    orbit_csv,
-)
+from .dynamics import ConvergenceOutcome, OrbitTrace, converge, iterate, orbit_csv
 from .errors import DomainError
 from .negators import _SPEC_SYNTAX, negate, parse_negator
 from .simplex import Dist, entropy, make_dist, parse_dist
@@ -35,8 +28,23 @@ from .simplex import Dist, entropy, make_dist, parse_dist
 __all__ = ["run", "main", "build_parser"]
 
 
-def _json_line(obj: object) -> str:
-    return json.dumps(obj, separators=(",", ":")) + "\n"
+def _jsonable(value: object) -> object:
+    """The JSON form of a library result: a ``Dist`` is its values, a
+    dataclass an object of its fields in declaration order, a tuple a
+    list. A ``converge`` outcome leads with ``"outcome"``, its class name
+    in snake case (``MaxIterReached`` is ``max_iter_reached``)."""
+    if isinstance(value, Dist):
+        return list(value.values)
+    if isinstance(value, tuple):
+        return [_jsonable(v) for v in value]
+    if not is_dataclass(value):
+        return value
+    obj = {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, ConvergenceOutcome):
+        name = type(value).__name__
+        tag = "".join("_" + c.lower() if c.isupper() else c for c in name)[1:]
+        return {"outcome": tag, **obj}
+    return obj
 
 
 def _read_dist(text: str) -> Dist:
@@ -57,50 +65,19 @@ def _read_dist(text: str) -> Dist:
     return parse_dist(text)
 
 
-def _cmd_negate(args: argparse.Namespace) -> str:
-    spec = parse_negator(args.negator)
-    out = negate(spec, _read_dist(args.dist))
-    return _json_line(list(out.values))
+def _cmd_negate(args: argparse.Namespace) -> Dist:
+    return negate(parse_negator(args.negator), _read_dist(args.dist))
 
 
-def _cmd_iterate(args: argparse.Namespace) -> str:
+def _cmd_iterate(args: argparse.Namespace) -> OrbitTrace | str:
     spec = parse_negator(args.negator)
     trace = iterate(spec, _read_dist(args.dist), args.steps)
-    if args.format == "csv":
-        return orbit_csv(trace)
-    steps = [
-        {
-            "k": step.k,
-            "dist": list(step.dist.values),
-            "entropy": step.entropy,
-            "linf": step.linf,
-        }
-        for step in trace.steps
-    ]
-    return _json_line({"steps": steps})
+    return orbit_csv(trace) if args.format == "csv" else trace
 
 
-def _cmd_converge(args: argparse.Namespace) -> str:
+def _cmd_converge(args: argparse.Namespace) -> ConvergenceOutcome:
     spec = parse_negator(args.negator)
-    outcome = converge(
-        spec, _read_dist(args.dist), eps=args.eps, max_iter=args.max_iter
-    )
-    match outcome:
-        case Converged(steps=k, limit=limit):
-            payload = {"outcome": "converged", "steps": k, "limit": list(limit.values)}
-        case Oscillating(period=period, witness=witness):
-            payload = {
-                "outcome": "oscillating",
-                "period": period,
-                "witness": list(witness.values),
-            }
-        case MaxIterReached(last=last):
-            payload = {"outcome": "max_iter_reached", "last": list(last.values)}
-        case LeftDomain(steps=k, last=last):
-            payload = {"outcome": "left_domain", "steps": k, "last": list(last.values)}
-        case _:  # pragma: no cover - converge returns one of the four
-            raise AssertionError(f"unexpected outcome {outcome!r}")
-    return _json_line(payload)
+    return converge(spec, _read_dist(args.dist), eps=args.eps, max_iter=args.max_iter)
 
 
 def _length(n: int) -> int:
@@ -112,19 +89,17 @@ def _length(n: int) -> int:
     return n
 
 
-def _cmd_classify(args: argparse.Namespace) -> str:
+def _cmd_classify(args: argparse.Namespace) -> dict:
     spec = parse_negator(args.negator)
-    report = classify(spec, _length(args.n), args.samples, args.seed)
-    return _json_line(report_as_dict(report))
+    return report_as_dict(classify(spec, _length(args.n), args.samples, args.seed))
 
 
-def _cmd_entropy(args: argparse.Namespace) -> str:
-    return _json_line(entropy(_read_dist(args.dist)))
+def _cmd_entropy(args: argparse.Namespace) -> float:
+    return entropy(_read_dist(args.dist))
 
 
-def _cmd_fixed_point(args: argparse.Namespace) -> str:
-    spec = parse_negator(args.negator)
-    return _json_line(fixed_point(spec, _length(args.n)))
+def _cmd_fixed_point(args: argparse.Namespace) -> float:
+    return fixed_point(parse_negator(args.negator), _length(args.n))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -184,14 +159,17 @@ def run(argv: Sequence[str] | None = None) -> int:
         # input problem here, not a domain problem.
         return 0 if exc.code == 0 else 1
     try:
-        payload = args.handler(args)
+        result = args.handler(args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    sys.stdout.write(payload)
+    # orbit_csv's table is the one payload that is not JSON.
+    if not isinstance(result, str):
+        result = json.dumps(_jsonable(result), separators=(",", ":")) + "\n"
+    sys.stdout.write(result)
     return 0
 
 

@@ -19,16 +19,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DomainError, LengthError
+from .errors import DomainError
 from .simplex import (
     DEFAULT_TOLERANCE,
     Dist,
     Tolerance,
+    _check_length,
     entropy,
     linf_to_uniform,
     max_abs_diff,
 )
-from .negators import NegatorSpec, negate
+from .negators import NegatorSpec, _check_alpha, negate
 
 __all__ = [
     "OrbitStep",
@@ -144,10 +145,8 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
 
 def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
     """k-fold application of the linear negator to ``p``, in closed form."""
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must be in [0, 1], got {alpha!r}")
+    _check_length(n)
+    _check_alpha(alpha)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     a = -(1.0 - alpha) / (n - 1)
@@ -160,8 +159,7 @@ def yager_power_point(p: float, n: int, k: int) -> float:
     Written as an explicit alternating power of 1/(n - 1) rather than by
     delegating to :func:`linear_power_point`, so the two stay independent.
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _check_length(n)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     return 1.0 / n + (-1) ** k * (p - 1.0 / n) / (n - 1) ** k
@@ -169,10 +167,8 @@ def yager_power_point(p: float, n: int, k: int) -> float:
 
 def contraction_factor(n: int, alpha: float) -> ContractionFactor:
     """Per-step offset scaling of the linear family for given n and alpha."""
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must be in [0, 1], got {alpha!r}")
+    _check_length(n)
+    _check_alpha(alpha)
     return ContractionFactor(factor=-(1.0 - alpha) / (n - 1), n=n, alpha=alpha)
 
 

@@ -26,11 +26,10 @@ from dataclasses import dataclass, fields
 from .errors import (
     DegenerateStatsError,
     DomainError,
-    LengthError,
     NegatorSyntaxError,
     RangeError,
 )
-from .simplex import Dist, DistStats, _validated
+from .simplex import Dist, DistStats, _check_length, _validated
 
 __all__ = [
     "Yager",
@@ -61,6 +60,11 @@ class Uniform:
     """p -> 1/n, regardless of p."""
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha <= 1.0:
+        raise DomainError(f"alpha must be in [0, 1], got {alpha!r}")
+
+
 @dataclass(frozen=True)
 class Linear:
     """Convex mix of the uniform and yager families with weight ``alpha``
@@ -69,8 +73,7 @@ class Linear:
     alpha: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha <= 1.0:
-            raise DomainError(f"alpha must be in [0, 1], got {self.alpha!r}")
+        _check_alpha(self.alpha)
 
 
 @dataclass(frozen=True)
@@ -121,8 +124,7 @@ def yager_point(p: float, n: int) -> float:
 
 def linear_point(p: float, n: int, alpha: float) -> float:
     """Value of the linear family at ``p``; raises for alpha outside [0, 1]."""
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must be in [0, 1], got {alpha!r}")
+    _check_alpha(alpha)
     return alpha / n + (1.0 - alpha) * (1.0 - p) / (n - 1)
 
 
@@ -151,15 +153,13 @@ def linear_params(
     Exactly one of ``alpha`` (in [0, 1]), ``n1`` (in [0, 1/n]) or ``n0``
     (in [1/n, 1/(n-1)]) must be given; the other two are derived.
     """
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _check_length(n)
     given = [name for name, v in (("alpha", alpha), ("n1", n1), ("n0", n0)) if v is not None]
     if len(given) != 1:
         raise TypeError(f"provide exactly one of alpha, n1, n0; got {given or 'none'}")
 
     if alpha is not None:
-        if not 0.0 <= alpha <= 1.0:
-            raise DomainError(f"alpha must be in [0, 1], got {alpha!r}")
+        _check_alpha(alpha)
     elif n1 is not None:
         if not 0.0 <= n1 <= 1.0 / n:
             raise DomainError(f"n1 must be in [0, {1.0 / n}], got {n1!r}")
@@ -236,7 +236,10 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
                 raise DomainError(
                     f"tsallis:k={k!r} gives denominator n - sum(p**k) = {denom!r}"
                 )
-            out = [(1.0 - w) / denom for w in powers]
+            if denom < 0.0:  # k < 0: +0.0, not -0.0, where p**k rounds to 1
+                out = [(w - 1.0) / -denom for w in powers]
+            else:
+                out = [(1.0 - w) / denom for w in powers]
         case Involutive():
             mp = max(vals) + min(vals)
             denom = n * mp - 1.0

@@ -153,17 +153,20 @@ def _validated(vals: tuple[float, ...], tol: Tolerance = DEFAULT_TOLERANCE) -> D
     raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {tol.tol_simplex}")
 
 
-def uniform_dist(n: int) -> Dist:
-    """The distribution with every probability equal to 1/n."""
+def _check_length(n: int) -> None:
     if n < 2:
         raise LengthError(f"need n >= 2, got {n}")
+
+
+def uniform_dist(n: int) -> Dist:
+    """The distribution with every probability equal to 1/n."""
+    _check_length(n)
     return make_dist([1.0 / n] * n)
 
 
 def point_dist(n: int, i: int) -> Dist:
     """The degenerate distribution with unit mass on outcome ``i`` (1-based)."""
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _check_length(n)
     if not 1 <= i <= n:
         raise IndexError(f"outcome index {i} outside 1..{n}")
     return make_dist([1.0 if j == i else 0.0 for j in range(1, n + 1)])
@@ -177,8 +180,7 @@ def entropy(dist: Dist) -> float:
 def max_entropy(n: int) -> float:
     """Largest attainable entropy for length n, reached on the uniform
     distribution: (n - 1)/n."""
-    if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+    _check_length(n)
     return (n - 1) / n
 
 

@@ -141,6 +141,14 @@ class TestClassify:
             r = classify(Tsallis(-1.0), n, samples=80, seed=7)
             assert r.verdict is Verdict.EXPANDING
 
+    def test_tsallis_negative_k_not_always_expanding(self):
+        """The counter-examples README.md quotes for k < 0."""
+        assert classify(Tsallis(-1.0), 100, 200, seed=0).verdict is Verdict.CONTRACTING
+        assert classify(Tsallis(-0.5), 3, 200, seed=0).verdict is Verdict.MIXED
+        for n in (5, 10, 100):
+            r = classify(Tsallis(-0.5), n, 200, seed=0)
+            assert r.verdict is Verdict.CONTRACTING
+
     def test_shipped_families_never_mixed(self):
         """None of the implemented families comes out Mixed at the
         parameter points the library documents."""

@@ -4,6 +4,8 @@ import contextlib
 import io
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -85,7 +87,10 @@ class TestIterateCommand:
             "--steps", "2",
         )
         assert code == 0
-        steps = json.loads(out)["steps"]
+        payload = json.loads(out)
+        assert list(payload) == ["steps"]
+        steps = payload["steps"]
+        assert list(steps[0]) == ["k", "dist", "entropy", "linf"]
         assert [s["k"] for s in steps] == [0, 1, 2]
         assert steps[1]["dist"] == pytest.approx([1 / 3] * 3)
         assert steps[0]["entropy"] == 0.0
@@ -118,6 +123,7 @@ class TestConvergeCommand:
         )
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["outcome", "steps", "limit"]
         assert payload["outcome"] == "converged"
         assert payload["limit"] == pytest.approx([0.2] * 5, abs=1e-9)
 
@@ -127,6 +133,7 @@ class TestConvergeCommand:
         )
         assert code == 0
         payload = json.loads(out)
+        assert list(payload) == ["outcome", "period", "witness"]
         assert payload["outcome"] == "oscillating"
         assert payload["period"] == 2
         assert payload["witness"] == pytest.approx([0.3, 0.7])
@@ -137,7 +144,9 @@ class TestConvergeCommand:
             "--eps", "1e-15", "--max-iter", "3",
         )
         assert code == 0
-        assert json.loads(out)["outcome"] == "max_iter_reached"
+        payload = json.loads(out)
+        assert list(payload) == ["outcome", "last"]
+        assert payload["outcome"] == "max_iter_reached"
 
     def test_left_domain(self, capsys):
         code, out, _ = invoke(
@@ -150,6 +159,8 @@ class TestConvergeCommand:
         assert payload["outcome"] == "left_domain"
         assert payload["steps"] == 14
         assert len(payload["last"]) == 4
+        # Its first entry is zero, printed as 0.0, not -0.0.
+        assert all(math.copysign(1.0, v) == 1.0 for v in payload["last"])
 
     def test_bad_eps_is_domain_error(self, capsys):
         code, out, err = invoke(
@@ -193,6 +204,44 @@ class TestScalarCommands:
         )
         assert code == 0
         assert json.loads(out) == 0.25
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def _readme_examples():
+    """Each ``$ pdnegate ...`` line in README.md with the output lines
+    shown under it, up to a blank line or the end of the code block."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    examples = []
+    for i, line in enumerate(lines):
+        if line.startswith("$ pdnegate "):
+            shown = []
+            for out in lines[i + 1:]:
+                if not out.strip() or out.startswith(("```", "$ ")):
+                    break
+                shown.append(out)
+            examples.append((shlex.split(line)[2:], shown))
+    return examples
+
+
+class TestReadmeExamples:
+    def test_examples_print_what_readme_shows(self, capsys):
+        """``...`` in a shown line stands for the elided rest of a JSON
+        array, so the text on each side of it must match."""
+        examples = _readme_examples()
+        assert len(examples) == 4
+        for argv, shown in examples:
+            code, out, err = invoke(capsys, *argv)
+            assert (code, err) == (0, ""), argv
+            got = out.splitlines()
+            assert len(got) == len(shown), argv
+            for line, want in zip(got, shown):
+                head, elided, tail = want.partition("...")
+                if elided:
+                    assert line.startswith(head) and line.endswith(tail), argv
+                else:
+                    assert line == want, argv
 
 
 class TestExitCodes:

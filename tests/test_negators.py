@@ -111,6 +111,12 @@ class TestNegateExamples:
         q = negate(Tsallis(-1.0), make_dist([0.5, 0.3, 0.2]))
         assert abs(math.fsum(q) - 1.0) <= 1e-9
 
+    def test_tsallis_negative_k_gives_no_negative_zero(self):
+        # p**k rounds to 1 for the first entry, which then maps to zero.
+        q = negate(Tsallis(-1.0), make_dist([1 - 2**-53, 2**-53]))
+        assert q.values == (0.0, 1.0)
+        assert all(math.copysign(1.0, v) == 1.0 for v in q)
+
     def test_non_spec_rejected(self):
         with pytest.raises(TypeError):
             negate("yager", EXAMPLE)  # type: ignore[arg-type]
