@@ -401,9 +401,9 @@ def random_dist(n: int, seed: int) -> Dist:
     while True:
         draws = [expovariate(1.0) for _ in range(n)]
         total = math.fsum(draws)
-        values = tuple([d / total for d in draws])
-        if min(values) > 0.0:
-            return _validated(values)
+        dist = _validated(tuple([d / total for d in draws]))
+        if dist._lo > 0.0:
+            return dist
 
 
 def report_as_dict(report: ClassificationReport) -> dict:

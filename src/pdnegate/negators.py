@@ -28,6 +28,7 @@ from .errors import (
     DomainError,
     NegatorSyntaxError,
     RangeError,
+    SumError,
 )
 from .simplex import Dist, DistStats, _check_length, _validated
 
@@ -202,7 +203,9 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     The output is routed through the validating constructor rather than
     renormalized, so the sum-to-one guarantee is checked, not imposed.
     Roundoff excursions past 0 or 1 of at most 1e-12 are snapped to the
-    boundary first; anything larger is a genuine range violation.
+    boundary first; anything larger is a genuine range violation. An
+    output that fails validation even so raises ``DomainError``: the
+    input was valid, so the negation left the simplex.
 
     Each family's arithmetic is written out here with its per-call
     constants hoisted, in the same operation order as the pointwise
@@ -210,17 +213,28 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     """
     vals = dist.values
     n = len(vals)
+    # Every family but tsallis reverses order through ops that are
+    # monotone under round-to-nearest (1 - p, a multiply by w >= 0, a
+    # divide by a positive d or denom, an add of a), so its output's
+    # extremes are its own expression at the input's max and min, equal to
+    # min(out) and max(out) exactly. Tsallis keeps the scan: libm's pow is
+    # not guaranteed monotone.
+    extremes = None
     match spec:
         case Yager():
             d = n - 1
             out = [(1.0 - p) / d for p in vals]
+            extremes = ((1.0 - dist._hi) / d, (1.0 - dist._lo) / d)
         case Uniform():
-            out = [1.0 / n] * n
+            u = 1.0 / n
+            out = [u] * n
+            extremes = (u, u)
         case Linear(alpha=alpha):
             a, w, d = alpha / n, 1.0 - alpha, n - 1
             out = [a + w * (1.0 - p) / d for p in vals]
+            extremes = (a + w * (1.0 - dist._hi) / d, a + w * (1.0 - dist._lo) / d)
         case Tsallis(k=k):
-            if k < 0.0 and 0.0 in vals:
+            if k < 0.0 and dist._lo <= 0.0:
                 raise DomainError(
                     "tsallis with k < 0 requires strictly positive probabilities"
                 )
@@ -241,20 +255,27 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
             else:
                 out = [(1.0 - w) / denom for w in powers]
         case Involutive():
-            mp = max(vals) + min(vals)
+            lo, hi = dist._lo, dist._hi
+            mp = hi + lo
             denom = n * mp - 1.0
             if denom <= 0.0:
                 raise DegenerateStatsError(f"n*mp - 1 = {denom!r} is not positive")
             out = [(mp - p) / denom for p in vals]
+            extremes = ((mp - hi) / denom, (mp - lo) / denom)
         case _:
             raise TypeError(f"not a negator spec: {spec!r}")
     # Snapping cannot change a list that is already inside [0, 1], so it
-    # is only tried once validation has found a value outside. Every value
-    # is a float already, so make_dist's coercion is skipped.
+    # is only tried once validation has found a value outside; the snapped
+    # list is scanned afresh. Every value is a float already, so
+    # make_dist's coercion is skipped.
+    out = tuple(out)
     try:
-        return _validated(tuple(out))
-    except RangeError:
-        return _validated(tuple(_snap_unit(out)))
+        try:
+            return _validated(out, extremes=extremes)
+        except RangeError:
+            return _validated(tuple(_snap_unit(out)))
+    except (RangeError, SumError) as exc:
+        raise DomainError(f"negated output fails validation: {exc}") from exc
 
 
 def involutive_negated_stats(s: DistStats) -> DistStats:

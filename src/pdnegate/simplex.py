@@ -21,6 +21,7 @@ import math
 import operator
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import (
     DomainError,
@@ -82,6 +83,18 @@ class Dist:
 
     values: tuple[float, ...]
 
+    # min(values) and max(values). The validator records both as it checks
+    # the range, so reading them costs no scan; a Dist built directly
+    # computes each on first use. Neither is a dataclass field, so ==,
+    # hash, repr and dataclasses.replace see only ``values``.
+    @cached_property
+    def _lo(self) -> float:
+        return min(self.values)
+
+    @cached_property
+    def _hi(self) -> float:
+        return max(self.values)
+
     @property
     def n(self) -> int:
         return len(self.values)
@@ -115,22 +128,44 @@ class DistStats:
 def make_dist(values: Iterable[float], tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
     """Validate ``values`` as a probability distribution and wrap them.
 
-    The input is taken verbatim: no renormalization, no reordering.
-    Raises ``LengthError`` for fewer than two values, ``RangeError`` for a
-    value outside [0, 1], ``SumError`` when the total strays from one by
-    more than ``tol.tol_simplex``.
+    The input is taken verbatim: no renormalization, no reordering; only
+    a ``-0.0`` is stored as ``0.0``. Raises ``LengthError`` for fewer than
+    two values, ``RangeError`` for a value outside [0, 1], ``SumError``
+    when the total strays from one by more than ``tol.tol_simplex``.
     """
-    return _validated(tuple(map(float, values)), tol)
+    dist = _validated(tuple(map(float, values)), tol)
+    if dist._lo == 0.0:
+        # Store -0.0 as 0.0. Every other value stays the same object.
+        return _recorded(tuple([v or 0.0 for v in dist.values]), 0.0, dist._hi)
+    return dist
 
 
-def _validated(vals: tuple[float, ...], tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
+def _recorded(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
+    """A ``Dist`` of ``vals`` with ``lo`` and ``hi`` recorded as their
+    min and max."""
+    dist = Dist(vals)
+    recorded = dist.__dict__
+    recorded["_lo"] = lo
+    recorded["_hi"] = hi
+    return dist
+
+
+def _validated(
+    vals: tuple[float, ...],
+    tol: Tolerance = DEFAULT_TOLERANCE,
+    extremes: tuple[float, float] | None = None,
+) -> Dist:
     """:func:`make_dist` on a tuple that holds only floats already, as the
-    negators' and samplers' outputs do: the same checks, without coercion."""
+    negators' and samplers' outputs do: the same checks, without coercion.
+
+    ``extremes``, when given, must equal ``(min(vals), max(vals))``;
+    ``negate`` derives them from its input's instead of scanning."""
     if len(vals) < 2:
         raise LengthError(f"need at least 2 values, got {len(vals)}")
+    lo, hi = (min(vals), max(vals)) if extremes is None else extremes
     # Fast path. min and max skip a NaN that is not first, but such a NaN
     # makes the sum NaN, which fails both sum tests as written.
-    if 0.0 <= min(vals) and max(vals) <= 1.0:
+    if 0.0 <= lo and hi <= 1.0:
         # With every value in [0, 1], a plain left-to-right sum is off from
         # the exact sum S by at most gamma_(n-1) * S, about (n-1) * 2**-53 * S
         # (Higham, Accuracy and Stability of Numerical Algorithms, 4.2), and
@@ -141,10 +176,11 @@ def _validated(vals: tuple[float, ...], tol: Tolerance = DEFAULT_TOLERANCE) -> D
         # compensated and its error is smaller still. Past about
         # tol_simplex * 2**52 values (4.5e6 at the default) the margin
         # exceeds the tolerance and fsum decides every input.
-        if abs(sum(vals) - 1.0) <= tol.tol_simplex - len(vals) * 2**-52:
-            return Dist(vals)
-        if abs(math.fsum(vals) - 1.0) <= tol.tol_simplex:
-            return Dist(vals)
+        if (
+            abs(sum(vals) - 1.0) <= tol.tol_simplex - len(vals) * 2**-52
+            or abs(math.fsum(vals) - 1.0) <= tol.tol_simplex
+        ):
+            return _recorded(vals, lo, hi)
     # Slow path, only to name the fault: the first value outside [0, 1],
     # else the sum.
     for i, v in enumerate(vals):
@@ -185,18 +221,21 @@ def max_entropy(n: int) -> float:
 
 
 def linf_to_uniform(dist: Dist) -> float:
-    """Max-norm distance to the uniform distribution of the same length."""
+    """Max-norm distance to the uniform distribution of the same length.
+
+    Reads the min and max that validation recorded on ``dist``, so it does
+    not scan the values.
+    """
     # Equal to max(abs(v - u)): rounding is monotone, so the largest v - u
     # comes from max(v), and u - v is exactly -(v - u).
-    vals = dist.values
-    u = 1.0 / len(vals)
-    return max(max(vals) - u, u - min(vals))
+    u = 1.0 / len(dist.values)
+    return max(dist._hi - u, u - dist._lo)
 
 
 def stats(dist: Dist) -> DistStats:
-    """Componentwise max, min, and their sum for ``dist``."""
-    hi = max(dist.values)
-    lo = min(dist.values)
+    """Componentwise max, min, and their sum for ``dist``: the extremes
+    that validation recorded on it, read without a scan."""
+    hi, lo = dist._hi, dist._lo
     return DistStats(max_p=hi, min_p=lo, mp=hi + lo, n=dist.n)
 
 

@@ -5,11 +5,22 @@ generated value is a valid simplex point by construction (the library
 itself never normalizes).
 """
 
+import functools
 import math
+import random
 
 import hypothesis.strategies as st
 
-from pdnegate import Involutive, Linear, Tsallis, Uniform, Yager, make_dist
+from pdnegate import (
+    Involutive,
+    Linear,
+    Tsallis,
+    Uniform,
+    Yager,
+    make_dist,
+    point_dist,
+    random_dist,
+)
 
 ALPHA_GRID = [i / 10 for i in range(11)]
 
@@ -50,3 +61,35 @@ def all_specs(include_negative_k=False):
         st.sampled_from(ks).map(Tsallis),
         st.just(Involutive()),
     )
+
+
+# One spec per family, with both signs of the tsallis exponent.
+WIDE_SPECS = [
+    Yager(),
+    Uniform(),
+    Linear(0.25),
+    Linear(0.75),
+    Tsallis(0.5),
+    Tsallis(2.0),
+    Tsallis(-1.0),
+    Involutive(),
+]
+
+
+@functools.cache
+def wide_inputs():
+    """Fixed inputs at n = 10 000: flat-Dirichlet, flat-Dirichlet with about
+    10 % exact zeros, a point mass, and the near-complement of a point mass
+    (0 once, one ulp below 1/(n-1) elsewhere), on which the involutive
+    output overshoots 1 and the boundary snap fires."""
+    n = 10_000
+    rng = random.Random(n)
+    weights = [0.0 if rng.random() < 0.1 else rng.expovariate(1.0) for _ in range(n)]
+    total = math.fsum(weights)
+    m = math.nextafter(1.0 / (n - 1), 0.0)
+    return {
+        "dirichlet": random_dist(n, seed=n),
+        "zeros": make_dist([w / total for w in weights]),
+        "point": point_dist(n, 1),
+        "near_complement": make_dist([0.0] + [m] * (n - 1)),
+    }

@@ -162,6 +162,11 @@ class TestConvergeCommand:
         # Its first entry is zero, printed as 0.0, not -0.0.
         assert all(math.copysign(1.0, v) == 1.0 for v in payload["last"])
 
+    def test_negative_zero_start_prints_plus_zero(self, capsys):
+        code, out, _ = invoke(capsys, "converge", "--negator", "yager", "--dist=-0.0,1")
+        assert code == 0
+        assert out.strip() == '{"outcome":"oscillating","period":2,"witness":[0.0,1.0]}'
+
     def test_bad_eps_is_domain_error(self, capsys):
         code, out, err = invoke(
             capsys, "converge", "--negator", "yager", "--dist", "0.5,0.5",
@@ -311,6 +316,14 @@ class TestExitCodes:
     def test_help_exits_zero(self, capsys):
         code, _, _ = invoke(capsys, "--help")
         assert code == 0
+
+    def test_failed_negation_is_domain_error(self, capsys):
+        code, out, err = invoke(
+            capsys, "negate", "--negator", "tsallis:k=1e-15", "--dist", "0.2,0.3,0.5"
+        )
+        assert code == 2
+        assert out == ""
+        assert "values sum to 0.96875" in err
 
     def test_tsallis_negative_k_on_zero_entry(self, capsys):
         code, _, _ = invoke(

@@ -13,12 +13,14 @@ from pdnegate import (
     DomainError,
     Involutive,
     Linear,
+    LeftDomain,
     LengthError,
     NegatorSyntaxError,
     RangeError,
     Tsallis,
     Uniform,
     Yager,
+    converge,
     format_negator,
     involutive_negated_stats,
     involutive_point,
@@ -80,6 +82,37 @@ class TestSpecValidation:
     def test_tsallis_overflow_is_domain_error(self, values):
         with pytest.raises(DomainError):
             negate(Tsallis(-2.0), make_dist(values))
+
+
+def _near_complement(n, ulps):
+    """(0, m, ..., m) with m ``ulps`` ulps below 1/(n - 1)."""
+    m = 1.0 / (n - 1)
+    for _ in range(ulps):
+        m = math.nextafter(m, 0.0)
+    return make_dist([0.0] + [m] * (n - 1))
+
+
+class TestFailedNegation:
+    """A valid input whose negation fails validation, even after the
+    boundary snap, is a domain error, not malformed input."""
+
+    def test_tsallis_tiny_k_sum(self):
+        with pytest.raises(DomainError, match="values sum to 0.96875"):
+            negate(Tsallis(1e-15), make_dist([0.2, 0.3, 0.5]))
+
+    def test_involutive_overshoot_past_snap(self):
+        # Two ulps below 1/9999 the output overshoots 1 by 3e-12; one ulp
+        # below, by 8e-13, which the snap repairs.
+        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
+            negate(Involutive(), _near_complement(10_000, 2))
+        assert max(negate(Involutive(), _near_complement(10_000, 1))) == 1.0
+
+    def test_converge_ends_in_left_domain(self):
+        # Step 1 is valid; step 2's tsallis output sums to 0.9968.
+        out = converge(Tsallis(1e-15), make_dist([0.0, 0.5, 0.5]))
+        assert isinstance(out, LeftDomain)
+        assert out.steps == 1
+        assert out.last == negate(Tsallis(1e-15), make_dist([0.0, 0.5, 0.5]))
 
 
 class TestNegateExamples:

@@ -1,5 +1,6 @@
 """Distribution construction, validation, entropy, and distance."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -25,6 +26,7 @@ from pdnegate import (
     make_dist,
     max_abs_diff,
     max_entropy,
+    negate,
     parse_dist,
     point_dist,
     random_dist,
@@ -32,7 +34,7 @@ from pdnegate import (
     uniform_dist,
 )
 
-from conftest import dists
+from conftest import WIDE_SPECS, all_specs, dists, wide_inputs
 
 EXAMPLE = (0.1, 0.2, 0.15, 0.3, 0.25)
 
@@ -112,8 +114,8 @@ class TestMakeDist:
 
 
 def _reference_make_dist(values, tol):
-    """The plain validator: coerce, check each value's range, then decide
-    the sum with fsum alone."""
+    """The plain validator: coerce, check each value's range, decide the
+    sum with fsum alone, then store a -0.0 as 0.0."""
     vals = tuple(float(v) for v in values)
     if len(vals) < 2:
         raise LengthError(f"need at least 2 values, got {len(vals)}")
@@ -124,7 +126,7 @@ def _reference_make_dist(values, tol):
         raise SumError(
             f"values sum to {math.fsum(vals)!r}, not 1 within {tol.tol_simplex}"
         )
-    return Dist(vals)
+    return Dist(tuple(v + 0.0 for v in vals))
 
 
 def _outcome(validate, values, tol):
@@ -360,6 +362,93 @@ class TestTextFormat:
     @given(dists())
     def test_round_trip(self, d):
         assert parse_dist(format_dist(d)).values == d.values
+
+
+class TestNegativeZero:
+    """make_dist stores a -0.0 input as 0.0, so nothing downstream (stats,
+    the CLI's echo of a start) sees the sign."""
+
+    @pytest.mark.parametrize("values", [[-0.0, 1.0], [0.5, -0.0, 0.5], [0.0, -0.0, 1.0]])
+    def test_stored_as_plus_zero(self, values):
+        d = make_dist(values)
+        assert [v.hex() for v in d] == [(v + 0.0).hex() for v in values]
+        assert math.copysign(1.0, stats(d).min_p) == 1.0
+
+
+def _recorded(d):
+    """The (min, max) the library recorded on ``d``; KeyError if it did not
+    record them, so a test cannot pass on values computed on demand."""
+    return vars(d)["_lo"], vars(d)["_hi"]
+
+
+def _assert_recorded(d):
+    lo, hi = _recorded(d)
+    assert (lo.hex(), hi.hex()) == (min(d.values).hex(), max(d.values).hex())
+
+
+class TestRecordedExtremes:
+    """Every Dist the library builds carries min(values) and max(values),
+    recorded at validation; negate derives its output's from its input's
+    for every family but tsallis."""
+
+    @given(all_specs(include_negative_k=True), dists())
+    @settings(max_examples=300)
+    def test_negate_output(self, spec, d):
+        _assert_recorded(d)
+        try:
+            q = negate(spec, d)
+        except DomainError:  # tsallis k < 0 on a zero entry
+            return
+        _assert_recorded(q)
+
+    @pytest.mark.parametrize("name", ["dirichlet", "zeros", "point", "near_complement"])
+    def test_negate_output_wide(self, name):
+        d = wide_inputs()[name]
+        _assert_recorded(d)
+        for spec in WIDE_SPECS:
+            try:
+                q = negate(spec, d)
+            except DomainError:
+                continue
+            _assert_recorded(q)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 100, 10_000])
+    def test_factories(self, n):
+        _assert_recorded(random_dist(n, seed=n))
+        _assert_recorded(uniform_dist(n))
+        _assert_recorded(point_dist(n, 1))
+        _assert_recorded(point_dist(n, n))
+        _assert_recorded(make_dist([-0.0] * (n - 1) + [1.0]))
+
+    @pytest.mark.parametrize(
+        "values",
+        [(), (0.5,), (0.7, 0.3), (1.5, -0.5), (math.nan, 1.0), (0, 1), ("a", "b"), (-0.0, 1.0)],
+    )
+    def test_direct_construction(self, values):
+        d = Dist(values)
+        assert d.values == values
+        assert repr(d) == f"Dist(values={values!r})"
+        assert d == Dist(values) and hash(d) == hash(Dist(values))
+
+    def test_direct_construction_measures(self):
+        d = Dist((0.25, 0.75))
+        assert (stats(d).max_p, stats(d).min_p) == (0.75, 0.25)
+        assert linf_to_uniform(d) == 0.25
+
+    def test_replace_recomputes(self):
+        d = make_dist([0.2, 0.8])
+        e = dataclasses.replace(d, values=(0.875, 0.125))
+        assert "_lo" not in vars(e) and "_hi" not in vars(e)
+        assert (stats(e).max_p, stats(e).min_p) == (0.875, 0.125)
+        assert linf_to_uniform(e) == 0.375
+        assert (stats(d).max_p, stats(d).min_p) == (0.8, 0.2)
+
+    @given(dists())
+    def test_eq_hash_repr_see_only_values(self, d):
+        bare = Dist(d.values)
+        assert d == bare and hash(d) == hash(bare) and repr(d) == repr(bare)
+        assert [f.name for f in dataclasses.fields(Dist)] == ["values"]
+        assert dataclasses.asdict(d) == {"values": d.values}
 
 
 def test_example_entropy_exact_fraction():
