@@ -13,10 +13,7 @@ from .negators import *
 from .dynamics import *
 from .analysis import *
 
-__version__ = "0.1.0"
-
 __all__ = [
-    "__version__",
     *errors.__all__,
     *simplex.__all__,
     *negators.__all__,

@@ -1,5 +1,5 @@
-"""Negator classification, involution and axiom checks, fixed points,
-and seeded random distributions for property testing.
+"""Negator classification, involution checks, fixed points, and seeded
+random distributions for property testing.
 
 At a probability value p with image q = N(p) and second image r = N(q):
 
@@ -39,7 +39,7 @@ from collections.abc import Callable
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DomainError, LengthMismatchError
+from .errors import DomainError
 from .simplex import (
     DEFAULT_TOLERANCE,
     Dist,
@@ -58,7 +58,6 @@ from .negators import (
     Tsallis,
     Uniform,
     Yager,
-    format_negator,
     involutive_point,
     linear_point,
     negate,
@@ -69,14 +68,11 @@ __all__ = [
     "Verdict",
     "ClassificationReport",
     "InvolutionCheck",
-    "AxiomCheck",
     "classify_point",
     "classify",
     "check_involution",
     "fixed_point",
-    "negation_axioms_check",
     "random_dist",
-    "report_as_dict",
 ]
 
 
@@ -121,11 +117,6 @@ class ClassificationReport:
 class InvolutionCheck(NamedTuple):
     ok: bool
     max_error: float
-
-
-class AxiomCheck(NamedTuple):
-    ok: bool
-    violation: str | None
 
 
 def _linear_alpha(spec: NegatorSpec) -> float | None:
@@ -174,21 +165,17 @@ def classify_point(
     p: float,
     n: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    *,
-    second: Callable[[float], float] | None = None,
 ) -> PointVerdict:
     """Classify one probability value under a pointwise negator.
 
-    ``negator`` maps a value to its negation. For families whose value
-    depends on the whole distribution, the second application happens in
-    the context of the negated distribution; the caller must pass that
-    re-derived evaluator as ``second`` (a frozen context would classify a
-    different map than the one actually iterated).
+    ``negator`` maps a value to its negation and is applied twice. The
+    families that read the whole distribution negate in a new context the
+    second time, so ``classify`` judges them at the distribution level.
     """
     if not 0.0 <= p <= 1.0:
         raise DomainError(f"p must be in [0, 1], got {p!r}")
     np_ = negator(p)
-    nnp = (second if second is not None else negator)(np_)
+    nnp = negator(np_)
     return _point_verdict(p, np_, nnp, n, tol)
 
 
@@ -318,17 +305,15 @@ def fixed_point(
     spec: NegatorSpec,
     n: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
-    context: Dist | None = None,
 ) -> float:
     """The unique fixed probability value, 1/n, after verification.
 
     Verifies that negating the uniform distribution reproduces it and,
     for families with a pointwise form, scans a grid on [0, 1] to confirm
     the value map crosses the identity only at 1/n. The involutive family
-    needs a concrete distribution for its stats; pass ``context`` to
-    control it (a seeded default is used otherwise). The tsallis family
-    has no context-free pointwise form, so only the uniform-distribution
-    check applies there.
+    needs a concrete distribution for its stats and uses a seeded random
+    one. The tsallis family has no context-free pointwise form, so only
+    the uniform-distribution check applies there.
     """
     _check_length(n)
     fp = 1.0 / n
@@ -340,7 +325,7 @@ def fixed_point(
     if alpha is not None:
         f = lambda p: linear_point(p, n, alpha)  # noqa: E731
     elif isinstance(spec, Involutive):
-        s = stats(context if context is not None else random_dist(n, seed=0))
+        s = stats(random_dist(n, seed=0))
         f = lambda p: involutive_point(p, s)  # noqa: E731
     else:
         return fp
@@ -359,36 +344,6 @@ def fixed_point(
     return fp
 
 
-def negation_axioms_check(
-    p_dist: Dist, q_dist: Dist, tol: Tolerance = DEFAULT_TOLERANCE
-) -> AxiomCheck:
-    """Whether ``q_dist`` is a valid negation of ``p_dist``: order-reversal
-    with ties mapped to ties, within ``tol.tol_eq`` slack.
-
-    Reversal is required only of inputs more than ``tol.tol_eq`` apart,
-    and agreement within ``tol.tol_eq`` only of exactly equal inputs.
-    Distinct inputs closer than that are not checked: a steep map such as
-    tsallis with k < 1 near 0 pulls their outputs far more than the slack
-    apart, so treating them as a tie would reject a correct negation.
-
-    Validity of ``q_dist`` as a distribution is already guaranteed by its
-    type; what is checked here is the pairwise order structure.
-    """
-    if p_dist.n != q_dist.n:
-        raise LengthMismatchError(f"lengths differ: {p_dist.n} vs {q_dist.n}")
-    t = tol.tol_eq
-    p, q = p_dist.values, q_dist.values
-    for i in range(p_dist.n):
-        for j in range(p_dist.n):
-            if (p[i] == p[j] or p[i] < p[j] - t) and q[i] < q[j] - t:
-                return AxiomCheck(
-                    False,
-                    f"order not reversed: p_{i + 1}={p[i]!r} <= p_{j + 1}={p[j]!r} "
-                    f"but q_{i + 1}={q[i]!r} < q_{j + 1}={q[j]!r}",
-                )
-    return AxiomCheck(True, None)
-
-
 def random_dist(n: int, seed: int) -> Dist:
     """Deterministic sample from the flat Dirichlet distribution.
 
@@ -404,27 +359,3 @@ def random_dist(n: int, seed: int) -> Dist:
         dist = _validated(tuple([d / total for d in draws]))
         if dist._lo > 0.0:
             return dist
-
-
-def report_as_dict(report: ClassificationReport) -> dict:
-    """JSON-ready form of a classification report."""
-    return {
-        "spec": format_negator(report.spec),
-        "n": report.n,
-        "samples": report.sample_count,
-        "verdict": report.verdict.value,
-        "witnesses": [
-            {
-                "p": w.p,
-                "np": w.np,
-                "nnp": w.nnp,
-                "flags": {
-                    "contracting": w.contracting,
-                    "strictly_contracting": w.strictly_contracting,
-                    "expanding": w.expanding,
-                    "involutive": w.involutive,
-                },
-            }
-            for w in report.witnesses
-        ],
-    }

@@ -19,10 +19,10 @@ import sys
 from collections.abc import Sequence
 from dataclasses import fields, is_dataclass
 
-from .analysis import classify, fixed_point, report_as_dict
+from .analysis import ClassificationReport, classify, fixed_point
 from .dynamics import ConvergenceOutcome, OrbitTrace, converge, iterate, orbit_csv
 from .errors import DomainError
-from .negators import _SPEC_SYNTAX, negate, parse_negator
+from .negators import _SPEC_SYNTAX, format_negator, negate, parse_negator
 from .simplex import Dist, entropy, make_dist, parse_dist
 
 __all__ = ["run", "main", "build_parser"]
@@ -89,9 +89,35 @@ def _length(n: int) -> int:
     return n
 
 
+def _report_json(report: ClassificationReport) -> dict:
+    """The ``classify`` payload. Unlike the other payloads it renames and
+    nests fields: ``sample_count`` is ``samples``, the spec is its text,
+    and each witness's four flags sit under ``flags``."""
+    return {
+        "spec": format_negator(report.spec),
+        "n": report.n,
+        "samples": report.sample_count,
+        "verdict": report.verdict.value,
+        "witnesses": [
+            {
+                "p": w.p,
+                "np": w.np,
+                "nnp": w.nnp,
+                "flags": {
+                    "contracting": w.contracting,
+                    "strictly_contracting": w.strictly_contracting,
+                    "expanding": w.expanding,
+                    "involutive": w.involutive,
+                },
+            }
+            for w in report.witnesses
+        ],
+    }
+
+
 def _cmd_classify(args: argparse.Namespace) -> dict:
     spec = parse_negator(args.negator)
-    return report_as_dict(classify(spec, _length(args.n), args.samples, args.seed))
+    return _report_json(classify(spec, _length(args.n), args.samples, args.seed))
 
 
 def _cmd_entropy(args: argparse.Namespace) -> float:

@@ -42,7 +42,6 @@ __all__ = [
     "ConvergenceOutcome",
     "iterate",
     "linear_power_point",
-    "yager_power_point",
     "contraction_factor",
     "converge",
     "orbit_csv",
@@ -151,18 +150,6 @@ def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
         raise DomainError(f"k must be >= 0, got {k}")
     a = -(1.0 - alpha) / (n - 1)
     return 1.0 / n + a**k * (p - 1.0 / n)
-
-
-def yager_power_point(p: float, n: int, k: int) -> float:
-    """k-fold application of the yager negator to ``p``, in closed form.
-
-    Written as an explicit alternating power of 1/(n - 1) rather than by
-    delegating to :func:`linear_power_point`, so the two stay independent.
-    """
-    _check_length(n)
-    if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
-    return 1.0 / n + (-1) ** k * (p - 1.0 / n) / (n - 1) ** k
 
 
 def contraction_factor(n: int, alpha: float) -> ContractionFactor:

@@ -40,7 +40,8 @@ class DegenerateStatsError(DomainError):
     """Summary statistics imply a non-positive negator denominator.
 
     Unreachable for stats computed from a valid distribution; raised only
-    for hand-built stats objects.
+    for hand-built stats objects or a ``Dist`` built without ``make_dist``,
+    such as ``negate(Involutive(), Dist((0.0, 0.0)))``.
     """
 
 

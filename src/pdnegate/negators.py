@@ -30,7 +30,7 @@ from .errors import (
     RangeError,
     SumError,
 )
-from .simplex import Dist, DistStats, _check_length, _validated
+from .simplex import Dist, DistStats, _validated
 
 __all__ = [
     "Yager",
@@ -39,13 +39,9 @@ __all__ = [
     "Tsallis",
     "Involutive",
     "NegatorSpec",
-    "LinearParams",
     "negate",
-    "yager_point",
     "linear_point",
     "involutive_point",
-    "linear_params",
-    "involutive_negated_stats",
     "parse_negator",
     "format_negator",
 ]
@@ -103,26 +99,6 @@ class Involutive:
 NegatorSpec = Yager | Uniform | Linear | Tsallis | Involutive
 
 
-@dataclass(frozen=True)
-class LinearParams:
-    """The three equivalent parameterizations of one linear negator.
-
-    ``alpha`` is canonical; ``n1`` (the image of 1) and ``n0`` (the image
-    of 0) are derived views tied together by ``n1 = alpha/n``,
-    ``n0 = alpha/n + (1 - alpha)/(n - 1)`` and ``n1 = 1 - (n - 1)*n0``.
-    """
-
-    alpha: float
-    n1: float
-    n0: float
-    n: int
-
-
-def yager_point(p: float, n: int) -> float:
-    """Value of the yager family at ``p`` for length ``n``."""
-    return (1.0 - p) / (n - 1)
-
-
 def linear_point(p: float, n: int, alpha: float) -> float:
     """Value of the linear family at ``p``; raises for alpha outside [0, 1]."""
     _check_alpha(alpha)
@@ -140,45 +116,6 @@ def involutive_point(p: float, s: DistStats) -> float:
     if denom <= 0.0:
         raise DegenerateStatsError(f"n*mp - 1 = {denom!r} is not positive")
     return (s.mp - p) / denom
-
-
-def linear_params(
-    n: int,
-    *,
-    alpha: float | None = None,
-    n1: float | None = None,
-    n0: float | None = None,
-) -> LinearParams:
-    """Interconvert the linear-family parameterizations.
-
-    Exactly one of ``alpha`` (in [0, 1]), ``n1`` (in [0, 1/n]) or ``n0``
-    (in [1/n, 1/(n-1)]) must be given; the other two are derived.
-    """
-    _check_length(n)
-    given = [name for name, v in (("alpha", alpha), ("n1", n1), ("n0", n0)) if v is not None]
-    if len(given) != 1:
-        raise TypeError(f"provide exactly one of alpha, n1, n0; got {given or 'none'}")
-
-    if alpha is not None:
-        _check_alpha(alpha)
-    elif n1 is not None:
-        if not 0.0 <= n1 <= 1.0 / n:
-            raise DomainError(f"n1 must be in [0, {1.0 / n}], got {n1!r}")
-        alpha = n * n1
-    else:
-        assert n0 is not None
-        lo, hi = 1.0 / n, 1.0 / (n - 1)
-        if not lo <= n0 <= hi:
-            raise DomainError(f"n0 must be in [{lo}, {hi}], got {n0!r}")
-        alpha = n * (1.0 - (n - 1) * n0)
-    # Derivations can stray an ulp outside [0, 1]; alpha is canonical.
-    alpha = min(1.0, max(0.0, alpha))
-    return LinearParams(
-        alpha=alpha,
-        n1=alpha / n,
-        n0=alpha / n + (1.0 - alpha) / (n - 1),
-        n=n,
-    )
 
 
 # Inputs whose sum is an ulp off 1 can push an exact-arithmetic boundary
@@ -208,8 +145,10 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     input was valid, so the negation left the simplex.
 
     Each family's arithmetic is written out here with its per-call
-    constants hoisted, in the same operation order as the pointwise
-    functions above, so the outputs equal theirs bit for bit.
+    constants hoisted, in the same operation order as ``linear_point``
+    and ``involutive_point`` above and, for yager, the reference
+    ``yager_point`` in the test suite's ``tests/oracles.py``, so the
+    outputs equal theirs bit for bit.
     """
     vals = dist.values
     n = len(vals)
@@ -276,20 +215,6 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
             return _validated(tuple(_snap_unit(out)))
     except (RangeError, SumError) as exc:
         raise DomainError(f"negated output fails validation: {exc}") from exc
-
-
-def involutive_negated_stats(s: DistStats) -> DistStats:
-    """Summary stats of the involutive negation, without materializing it.
-
-    Negation swaps the roles of max and min: each is divided by
-    ``n*mp - 1``, so ``mp`` itself maps to ``mp / (n*mp - 1)``.
-    """
-    denom = s.n * s.mp - 1.0
-    if denom <= 0.0:
-        raise DegenerateStatsError(f"n*mp - 1 = {denom!r} is not positive")
-    hi = s.max_p / denom
-    lo = s.min_p / denom
-    return DistStats(max_p=hi, min_p=lo, mp=hi + lo, n=s.n)
 
 
 # The spec classes are the family table. A family's spec text is its

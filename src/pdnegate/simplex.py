@@ -40,13 +40,10 @@ __all__ = [
     "uniform_dist",
     "point_dist",
     "entropy",
-    "max_entropy",
     "linf_to_uniform",
     "stats",
     "max_abs_diff",
-    "dists_equal",
     "parse_dist",
-    "format_dist",
 ]
 
 
@@ -213,13 +210,6 @@ def entropy(dist: Dist) -> float:
     return math.fsum([(1.0 - v) * v for v in dist.values])
 
 
-def max_entropy(n: int) -> float:
-    """Largest attainable entropy for length n, reached on the uniform
-    distribution: (n - 1)/n."""
-    _check_length(n)
-    return (n - 1) / n
-
-
 def linf_to_uniform(dist: Dist) -> float:
     """Max-norm distance to the uniform distribution of the same length.
 
@@ -246,11 +236,6 @@ def max_abs_diff(a: Dist, b: Dist) -> float:
     return max(map(abs, map(operator.sub, a.values, b.values)))
 
 
-def dists_equal(a: Dist, b: Dist, tol: Tolerance = DEFAULT_TOLERANCE) -> bool:
-    """Componentwise equality within ``tol.tol_eq``."""
-    return max_abs_diff(a, b) <= tol.tol_eq
-
-
 def parse_dist(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
     """Parse comma-separated decimal literals, e.g. ``0.1,0.2,0.7``."""
     parts = [part.strip() for part in text.split(",")]
@@ -259,8 +244,3 @@ def parse_dist(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
     except ValueError:
         raise ValueError(f"not a comma-separated list of numbers: {text!r}") from None
     return make_dist(values, tol)
-
-
-def format_dist(dist: Dist) -> str:
-    """Inverse of :func:`parse_dist`; floats keep full round-trip precision."""
-    return ",".join(repr(v) for v in dist)

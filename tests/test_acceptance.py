@@ -41,9 +41,9 @@ from pdnegate import (
     random_dist,
     stats,
     uniform_dist,
-    yager_point,
-    yager_power_point,
 )
+
+from oracles import yager_point, yager_power_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 ALPHAS_11 = [i / 10 for i in range(11)]

@@ -1,5 +1,6 @@
 """Classification, involution checks, fixed points, axiom oracle."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from pdnegate import (
+    DEFAULT_TOLERANCE,
     DomainError,
     Involutive,
     LengthError,
@@ -21,20 +23,19 @@ from pdnegate import (
     classify_point,
     fixed_point,
     involutive_point,
-    involutive_negated_stats,
     linear_point,
     make_dist,
     negate,
-    negation_axioms_check,
     point_dist,
     random_dist,
-    report_as_dict,
     stats,
     uniform_dist,
-    yager_point,
 )
 
+from pdnegate.cli import run
+
 from conftest import ALPHA_GRID, dists
+from oracles import negation_axioms_check, yager_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 
@@ -69,15 +70,10 @@ class TestClassifyPoint:
         negated distribution's stats; with that rewriting every value
         returns to itself."""
         s = stats(EXAMPLE)
-        s2 = involutive_negated_stats(s)
+        s2 = stats(negate(Involutive(), EXAMPLE))
         for p in EXAMPLE:
-            v = classify_point(
-                lambda q: involutive_point(q, s),
-                p,
-                5,
-                second=lambda q: involutive_point(q, s2),
-            )
-            assert v.involutive
+            back = involutive_point(involutive_point(p, s), s2)
+            assert abs(back - p) <= DEFAULT_TOLERANCE.tol_eq
 
     @given(dists(min_n=2, max_n=8))
     @settings(max_examples=200)
@@ -90,20 +86,18 @@ class TestClassifyPoint:
             (lambda a: lambda p: linear_point(p, n, a))(a) for a in (0.3, 0.9)
         ]
         s = stats(d)
-        s2 = involutive_negated_stats(s)
+        s2 = stats(negate(Involutive(), d))
         for p in list(d) + [0.0, 1.0 / n]:
             for f in evaluators:
                 v = classify_point(f, p, n)
                 assert v.contracting or v.expanding
                 assert v.involutive == (v.contracting and v.expanding)
                 assert v.strictly_contracting <= v.contracting
-            v = classify_point(
-                lambda q: involutive_point(q, s),
-                p if s.min_p <= p <= s.max_p else s.min_p,
-                n,
-                second=lambda q: involutive_point(q, s2),
-            )
-            assert v.contracting and v.expanding and v.involutive
+            # The involutive family, re-evaluated in the negated context,
+            # returns every value to itself.
+            p = p if s.min_p <= p <= s.max_p else s.min_p
+            back = involutive_point(involutive_point(p, s), s2)
+            assert abs(back - p) <= DEFAULT_TOLERANCE.tol_eq
 
 
 class TestClassify:
@@ -187,9 +181,12 @@ class TestClassify:
         got = classify(spec, n, samples=50, seed=11)
         assert replace(got, spec=linear) == classify(linear, n, samples=50, seed=11)
 
-    def test_report_as_dict_shape(self):
-        r = classify(Linear(0.5), 4, samples=20, seed=5)
-        d = report_as_dict(r)
+    def test_report_as_dict_shape(self, capsys):
+        argv = ["classify", "--negator", "linear:alpha=0.5", "--n", "4",
+                "--samples", "20", "--seed", "5"]
+        assert run(argv) == 0
+        d = json.loads(capsys.readouterr().out)
+        assert list(d) == ["spec", "n", "samples", "verdict", "witnesses"]
         assert d["spec"] == "linear:alpha=0.5"
         assert d["n"] == 4
         assert d["samples"] == 20
@@ -247,7 +244,7 @@ class TestFixedPoint:
         assert fixed_point(Tsallis(2.0), 3) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_involutive_with_context(self):
-        fp = fixed_point(Involutive(), 5, context=EXAMPLE)
+        fp = fixed_point(Involutive(), 5)
         assert fp == pytest.approx(0.2, abs=1e-15)
         assert involutive_point(fp, stats(EXAMPLE)) == pytest.approx(fp, abs=1e-12)
 

@@ -188,6 +188,30 @@ class TestClassifyCommand:
         assert payload["n"] == 5
         assert payload["witnesses"]
 
+    GOLDEN = (
+        '{"spec":"linear:alpha=0.5","n":4,"samples":20,'
+        '"verdict":"strictly_contracting","witnesses":['
+        '{"p":0.0,"np":0.29166666666666663,"nnp":0.24305555555555558,'
+        '"flags":{"contracting":true,"strictly_contracting":true,'
+        '"expanding":false,"involutive":false}},'
+        '{"p":0.01,"np":0.29000000000000004,"nnp":0.24333333333333335,'
+        '"flags":{"contracting":true,"strictly_contracting":true,'
+        '"expanding":false,"involutive":false}},'
+        '{"p":0.02,"np":0.28833333333333333,"nnp":0.2436111111111111,'
+        '"flags":{"contracting":true,"strictly_contracting":true,'
+        '"expanding":false,"involutive":false}}]}\n'
+    )
+
+    def test_golden_payload(self, capsys):
+        """The exact bytes of one classify payload: key names, key order,
+        nesting and float formatting."""
+        code, out, err = invoke(
+            capsys, "classify", "--negator", "linear:alpha=0.5", "--n", "4",
+            "--samples", "20", "--seed", "5",
+        )
+        assert (code, err) == (0, "")
+        assert out == self.GOLDEN
+
     def test_seed_required(self, capsys):
         code, out, err = invoke(
             capsys, "classify", "--negator", "yager", "--n", "5"

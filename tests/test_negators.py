@@ -14,7 +14,6 @@ from pdnegate import (
     Involutive,
     Linear,
     LeftDomain,
-    LengthError,
     NegatorSyntaxError,
     RangeError,
     Tsallis,
@@ -22,25 +21,22 @@ from pdnegate import (
     Yager,
     converge,
     format_negator,
-    involutive_negated_stats,
     involutive_point,
-    linear_params,
     linear_point,
     make_dist,
     max_abs_diff,
     negate,
-    negation_axioms_check,
     parse_negator,
     point_dist,
     random_dist,
     stats,
     uniform_dist,
-    yager_point,
 )
 
 from pdnegate.negators import _SPEC_SYNTAX
 
 from conftest import ALPHA_GRID, all_specs, dists, positive_dists
+from oracles import negation_axioms_check, yager_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 
@@ -248,52 +244,42 @@ class TestPointwiseValues:
 
 
 class TestLinearParams:
+    """The paper writes a linear negator by alpha, by n1 = N(1) or by
+    n0 = N(0): n1 = alpha/n, n0 = alpha/n + (1 - alpha)/(n - 1), so
+    alpha = n*n1 = n*(1 - (n - 1)*n0). These check ``linear_point``'s
+    values at 1 and 0 against those forms."""
+
     def test_alpha_zero_matches_yager(self):
-        lp = linear_params(5, alpha=0.0)
-        assert lp.n1 == pytest.approx(0.0, abs=1e-15)
-        assert lp.n0 == pytest.approx(0.25, abs=1e-15)
+        assert linear_point(1.0, 5, 0.0) == pytest.approx(0.0, abs=1e-15)
+        assert linear_point(0.0, 5, 0.0) == pytest.approx(0.25, abs=1e-15)
 
     def test_alpha_one_is_constant(self):
-        lp = linear_params(5, alpha=1.0)
-        assert lp.n1 == pytest.approx(0.2, abs=1e-15)
-        assert lp.n0 == pytest.approx(0.2, abs=1e-15)
+        assert linear_point(1.0, 5, 1.0) == pytest.approx(0.2, abs=1e-15)
+        assert linear_point(0.0, 5, 1.0) == pytest.approx(0.2, abs=1e-15)
 
     def test_from_n0(self):
-        lp = linear_params(3, n0=0.5)
-        assert lp.n1 == pytest.approx(0.0, abs=1e-15)
-        assert lp.alpha == pytest.approx(0.0, abs=1e-15)
+        alpha = 3 * (1.0 - 2 * 0.5)  # n0 = 0.5 at n = 3
+        assert alpha == pytest.approx(0.0, abs=1e-15)
+        assert linear_point(0.0, 3, alpha) == pytest.approx(0.5, abs=1e-15)
+        assert linear_point(1.0, 3, alpha) == pytest.approx(0.0, abs=1e-15)
 
     def test_from_n1(self):
-        lp = linear_params(4, n1=0.25)
-        assert lp.alpha == pytest.approx(1.0, abs=1e-15)
-
-    def test_exactly_one_parameter(self):
-        with pytest.raises(TypeError):
-            linear_params(4)
-        with pytest.raises(TypeError):
-            linear_params(4, alpha=0.5, n0=0.3)
-
-    def test_range_errors(self):
-        with pytest.raises(DomainError):
-            linear_params(4, n1=0.3)  # above 1/n
-        with pytest.raises(DomainError):
-            linear_params(4, n0=0.2)  # below 1/n
-        with pytest.raises(DomainError):
-            linear_params(4, n0=0.4)  # above 1/(n-1)
-        with pytest.raises(LengthError):
-            linear_params(1, alpha=0.5)
+        alpha = 4 * 0.25  # n1 = 0.25 at n = 4
+        assert alpha == pytest.approx(1.0, abs=1e-15)
+        assert linear_point(1.0, 4, alpha) == pytest.approx(0.25, abs=1e-15)
 
     @given(dists(min_n=2, max_n=10))
     def test_consistency_identities(self, d):
-        """n1 = alpha/n, n0 = alpha/n + (1-alpha)/(n-1), n1 = 1-(n-1)n0."""
+        """n1 = alpha/n, n0 = alpha/n + (1-alpha)/(n-1), n1 = 1-(n-1)n0,
+        and alpha comes back from n0."""
         n = d.n
         for alpha in ALPHA_GRID:
-            lp = linear_params(n, alpha=alpha)
-            assert abs(lp.n1 - alpha / n) <= 1e-12
-            assert abs(lp.n0 - (alpha / n + (1 - alpha) / (n - 1))) <= 1e-12
-            assert abs(lp.n1 - (1 - (n - 1) * lp.n0)) <= 1e-12
-            back = linear_params(n, n0=lp.n0)
-            assert abs(back.alpha - alpha) <= 1e-9
+            n1 = linear_point(1.0, n, alpha)
+            n0 = linear_point(0.0, n, alpha)
+            assert abs(n1 - alpha / n) <= 1e-12
+            assert abs(n0 - (alpha / n + (1 - alpha) / (n - 1))) <= 1e-12
+            assert abs(n1 - (1 - (n - 1) * n0)) <= 1e-12
+            assert abs(n * (1.0 - (n - 1) * n0) - alpha) <= 1e-9
 
 
 class TestNegationAxioms:
@@ -348,11 +334,12 @@ class TestPdIndependentIdentities:
         """The alpha, N(1), and N(0) forms compute the same map."""
         n = d.n
         for alpha in ALPHA_GRID:
-            lp = linear_params(n, alpha=alpha)
+            n1 = alpha / n
+            n0 = alpha / n + (1 - alpha) / (n - 1)
             for p in (0.0, 0.21, 0.5, 0.83, 1.0):
                 direct = linear_point(p, n, alpha)
-                via_n1 = lp.n1 + (1 - lp.n1 * n) * (1 - p) / (n - 1)
-                via_n0 = lp.n0 + (1 - lp.n0 * n) * p
+                via_n1 = n1 + (1 - n1 * n) * (1 - p) / (n - 1)
+                via_n0 = n0 + (1 - n0 * n) * p
                 assert abs(direct - via_n1) <= 1e-12
                 assert abs(direct - via_n0) <= 1e-12
 
@@ -379,8 +366,6 @@ class TestInvolutiveStructure:
         assert abs(sq.max_p - s.max_p / denom) <= 1e-12
         assert abs(sq.min_p - s.min_p / denom) <= 1e-12
         assert abs(sq.mp - s.mp / denom) <= 1e-12
-        predicted = involutive_negated_stats(s)
-        assert abs(predicted.mp - sq.mp) <= 1e-12
 
     @given(dists(min_n=2, max_n=10))
     @settings(max_examples=500)
