@@ -19,11 +19,17 @@ import sys
 from collections.abc import Sequence
 from dataclasses import fields, is_dataclass
 
-from .analysis import ClassificationReport, classify, fixed_point
-from .dynamics import ConvergenceOutcome, OrbitTrace, converge, iterate, orbit_csv
 from .errors import DomainError
 from .negators import _SPEC_SYNTAX, format_negator, negate, parse_negator
 from .simplex import Dist, entropy, make_dist, parse_dist
+
+# The handlers import dynamics and analysis themselves, so that a
+# subcommand loads only the modules it uses; these names are for type
+# checkers, which treat TYPE_CHECKING as true.
+TYPE_CHECKING = False
+if TYPE_CHECKING:
+    from .analysis import ClassificationReport
+    from .dynamics import ConvergenceOutcome, OrbitTrace
 
 __all__ = ["run", "main", "build_parser"]
 
@@ -40,6 +46,8 @@ def _jsonable(value: object) -> object:
     if not is_dataclass(value):
         return value
     obj = {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
+    # Only dynamics results reach this branch, so dynamics is loaded.
+    from .dynamics import ConvergenceOutcome
     if isinstance(value, ConvergenceOutcome):
         name = type(value).__name__
         tag = "".join("_" + c.lower() if c.isupper() else c for c in name)[1:]
@@ -70,12 +78,14 @@ def _cmd_negate(args: argparse.Namespace) -> Dist:
 
 
 def _cmd_iterate(args: argparse.Namespace) -> OrbitTrace | str:
+    from .dynamics import iterate, orbit_csv
     spec = parse_negator(args.negator)
     trace = iterate(spec, _read_dist(args.dist), args.steps)
     return orbit_csv(trace) if args.format == "csv" else trace
 
 
 def _cmd_converge(args: argparse.Namespace) -> ConvergenceOutcome:
+    from .dynamics import converge
     spec = parse_negator(args.negator)
     return converge(spec, _read_dist(args.dist), eps=args.eps, max_iter=args.max_iter)
 
@@ -116,6 +126,7 @@ def _report_json(report: ClassificationReport) -> dict:
 
 
 def _cmd_classify(args: argparse.Namespace) -> dict:
+    from .analysis import classify
     spec = parse_negator(args.negator)
     return _report_json(classify(spec, _length(args.n), args.samples, args.seed))
 
@@ -125,6 +136,7 @@ def _cmd_entropy(args: argparse.Namespace) -> float:
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> float:
+    from .analysis import fixed_point
     return fixed_point(parse_negator(args.negator), _length(args.n))
 
 

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from pdnegate.cli import run
 from pdnegate.negators import _SPEC_SYNTAX
 
-from test_dynamics import TestOrbitCsv
+from test_dynamics import ORBIT_CSV_GOLDEN
 
 
 def invoke(capsys, *argv):
@@ -113,7 +113,42 @@ class TestIterateCommand:
             "--dist", "0.1,0.2,0.15,0.3,0.25", "-k", "2", "--format", "csv",
         )
         assert code == 0
-        assert out == TestOrbitCsv.GOLDEN
+        assert out == ORBIT_CSV_GOLDEN
+
+
+class TestOrbitCsv:
+    """The orbit CSV as the iterate command writes it to stdout."""
+
+    def test_golden_involutive_orbit(self, capsys):
+        code, out, err = invoke(
+            capsys, "iterate", "--negator", "involutive",
+            "--dist", "0.1,0.2,0.15,0.3,0.25", "-k", "2", "--format", "csv",
+        )
+        assert code == 0
+        assert err == ""
+        assert out == ORBIT_CSV_GOLDEN
+        assert out.endswith("\n") and not out.endswith("\n\n")
+
+    def test_header_scales_with_n(self, capsys):
+        code, out, _ = invoke(
+            capsys, "iterate", "--negator", "yager", "--dist", "0.5,0.5",
+            "-k", "1", "--format", "csv",
+        )
+        assert code == 0
+        assert out.splitlines()[0] == "k,p_1,p_2,entropy,linf"
+
+    def test_cells_have_seventeen_significant_digits(self, capsys):
+        code, out, _ = invoke(
+            capsys, "iterate", "--negator", "yager", "--dist", "1,0,0,0,0",
+            "-k", "2", "--format", "csv",
+        )
+        assert code == 0
+        cells = out.splitlines()[2].split(",")
+        assert cells[0] == "1"
+        # 0.25 is exact in binary; 17 significant digits collapse to "0.25".
+        assert cells[2] == "0.25"
+        for cell in cells[1:]:
+            assert float(cell) == float(format(float(cell), ".17g"))
 
 
 class TestConvergeCommand:

@@ -282,19 +282,21 @@ class TestConverge:
         assert out.period == 2
 
 
-class TestOrbitCsv:
-    GOLDEN = (
-        "k,p_1,p_2,p_3,p_4,p_5,entropy,linf\n"
-        "0,0.10000000000000001,0.20000000000000001,0.14999999999999999,"
-        "0.29999999999999999,0.25,0.77500000000000002,0.10000000000000001\n"
-        "1,0.30000000000000004,0.20000000000000001,0.25,"
-        "0.10000000000000003,0.15000000000000002,0.77500000000000013,"
-        "0.10000000000000003\n"
-        "2,0.099999999999999992,0.19999999999999998,0.15000000000000002,"
-        "0.29999999999999993,0.24999999999999994,0.77499999999999991,"
-        "0.10000000000000002\n"
-    )
+# The worked involutive example, two steps, as orbit_csv writes it.
+ORBIT_CSV_GOLDEN = (
+    "k,p_1,p_2,p_3,p_4,p_5,entropy,linf\n"
+    "0,0.10000000000000001,0.20000000000000001,0.14999999999999999,"
+    "0.29999999999999999,0.25,0.77500000000000002,0.10000000000000001\n"
+    "1,0.30000000000000004,0.20000000000000001,0.25,"
+    "0.10000000000000003,0.15000000000000002,0.77500000000000013,"
+    "0.10000000000000003\n"
+    "2,0.099999999999999992,0.19999999999999998,0.15000000000000002,"
+    "0.29999999999999993,0.24999999999999994,0.77499999999999991,"
+    "0.10000000000000002\n"
+)
 
+
+class TestOrbitCsv:
     def test_golden_involutive_orbit(self):
         """Byte-exact CSV of the worked involutive example, two steps.
 
@@ -302,7 +304,7 @@ class TestOrbitCsv:
         within 1.2e-16 of the true value before freezing this text.
         """
         tr = iterate(Involutive(), EXAMPLE, 2)
-        assert orbit_csv(tr) == self.GOLDEN
+        assert orbit_csv(tr) == ORBIT_CSV_GOLDEN
 
     def test_header_scales_with_n(self):
         tr = iterate(Yager(), make_dist([0.5, 0.5]), 1)
