@@ -59,7 +59,6 @@ from .negators import (
     Uniform,
     Yager,
     involutive_point,
-    linear_point,
     negate,
 )
 
@@ -137,6 +136,14 @@ def _linear_alpha(spec: NegatorSpec) -> float | None:
         case Tsallis() | Involutive():
             return None
     raise TypeError(f"not a negator spec: {spec!r}")
+
+
+def _linear_map(n: int, alpha: float) -> Callable[[float], float]:
+    """``linear_point`` at length ``n`` and weight ``alpha``, with its
+    constants hoisted and alpha's domain check left to the spec: the same
+    operation order as ``linear_point`` and ``negate``, so the same bits."""
+    a, w, d = alpha / n, 1.0 - alpha, n - 1
+    return lambda p: a + w * (1.0 - p) / d
 
 
 def _point_verdict(p: float, np_: float, nnp: float, n: int, tol: Tolerance) -> PointVerdict:
@@ -254,7 +261,8 @@ def classify(
     one distribution-level verdict built from the max-norm distances to
     uniform along (P, NOT(P), NOT(NOT(P))) together with an involution
     check (see the module docstring for why pointwise brackets are not
-    usable there).
+    usable there). The involution check compares the first coordinates
+    first: a miss there decides it, and only a hit scans the rest.
     """
     _check_length(n)
     if samples < 1:
@@ -264,10 +272,13 @@ def classify(
 
     verdicts: list[PointVerdict] = []
     if alpha is not None:
-        f = lambda p: linear_point(p, n, alpha)  # noqa: E731
+        # Grid points lie in [0, 1], so classify_point's domain check is skipped.
+        f = _linear_map(n, alpha)
         for p in _grid_points(samples, rng):
-            verdicts.append(classify_point(f, p, n, tol))
+            np_ = f(p)
+            verdicts.append(_point_verdict(p, np_, f(np_), n, tol))
     else:
+        t = tol.tol_eq
         for _ in range(samples):
             start = random_dist(n, seed=rng.randrange(2**32))
             once = negate(spec, start)
@@ -277,7 +288,10 @@ def classify(
                     linf_to_uniform(start),
                     linf_to_uniform(once),
                     linf_to_uniform(twice),
-                    max_abs_diff(start, twice) <= tol.tol_eq,
+                    # The max bounds every coordinate, so a first-coordinate
+                    # miss decides the test without the full scan.
+                    abs(start.values[0] - twice.values[0]) <= t
+                    and max_abs_diff(start, twice) <= t,
                     tol,
                 )
             )
@@ -323,7 +337,7 @@ def fixed_point(
 
     alpha = _linear_alpha(spec)
     if alpha is not None:
-        f = lambda p: linear_point(p, n, alpha)  # noqa: E731
+        f = _linear_map(n, alpha)
     elif isinstance(spec, Involutive):
         s = stats(random_dist(n, seed=0))
         f = lambda p: involutive_point(p, s)  # noqa: E731
@@ -350,12 +364,20 @@ def random_dist(n: int, seed: int) -> Dist:
     Draws n unit-exponential variates and normalizes by their sum. All
     coordinates come out strictly positive, so every family (including
     tsallis with k < 0) accepts the result.
+
+    The variates are ``expovariate(1.0)`` of ``random.Random(seed)``, which
+    CPython computes as ``-log(1.0 - random()) / 1.0``. Dividing the logs
+    ``l = log(1.0 - random())`` by their ``fsum`` gives the same bits as
+    dividing the variates ``-l`` by theirs: ``fsum`` is correctly rounded,
+    so it maps ``-l`` to exactly minus its result for ``l``, and the two
+    sign flips cancel in each quotient, a zero's sign included.
     """
     _check_length(n)
-    expovariate = random.Random(seed).expovariate
+    rnd = random.Random(seed).random
+    log = math.log
     while True:
-        draws = [expovariate(1.0) for _ in range(n)]
-        total = math.fsum(draws)
-        dist = _validated(tuple([d / total for d in draws]))
+        logs = [log(1.0 - rnd()) for _ in range(n)]
+        total = math.fsum(logs)
+        dist = _validated(tuple([v / total for v in logs]))
         if dist._lo > 0.0:
             return dist

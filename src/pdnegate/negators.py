@@ -26,6 +26,7 @@ from dataclasses import dataclass, fields
 from .errors import (
     DegenerateStatsError,
     DomainError,
+    LengthError,
     NegatorSyntaxError,
     RangeError,
     SumError,
@@ -142,7 +143,9 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     Roundoff excursions past 0 or 1 of at most 1e-12 are snapped to the
     boundary first; anything larger is a genuine range violation. An
     output that fails validation even so raises ``DomainError``: the
-    input was valid, so the negation left the simplex.
+    input was valid, so the negation left the simplex. A ``Dist`` of fewer
+    than two values, which only direct construction can build, raises
+    ``LengthError`` for every family.
 
     Each family's arithmetic is written out here with its per-call
     constants hoisted, in the same operation order as ``linear_point``
@@ -152,6 +155,10 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     """
     vals = dist.values
     n = len(vals)
+    # Only a Dist built without make_dist can be this short; without the
+    # check each family would fail in its own arithmetic.
+    if n < 2:
+        raise LengthError(f"need at least 2 values, got {n}")
     # Every family but tsallis reverses order through ops that are
     # monotone under round-to-nearest (1 - p, a multiply by w >= 0, a
     # divide by a positive d or denom, an add of a), so its output's

@@ -1,4 +1,4 @@
-"""Shared strategies for property tests.
+"""Shared strategies for property tests, and a report hook for -W error.
 
 Distributions are built by normalizing non-negative weights, so every
 generated value is a valid simplex point by construction (the library
@@ -8,8 +8,10 @@ itself never normalizes).
 import functools
 import math
 import random
+import warnings
 
 import hypothesis.strategies as st
+import pytest
 
 from pdnegate import (
     Involutive,
@@ -93,3 +95,17 @@ def wide_inputs():
         "point": point_dist(n, 1),
         "near_complement": make_dist([0.0] + [m] * (n - 1)),
     }
+
+
+@pytest.hookimpl(wrapper=True, tryfirst=True)
+def pytest_runtest_makereport():
+    # When a property test fails, Hypothesis's pytest plugin builds its
+    # report by importing libcst, if that is installed, to write a patch
+    # with the failing example. That import raises a DeprecationWarning
+    # (from mypy_extensions), and under `pytest -W error` a warning there
+    # aborts the whole run with INTERNALERROR instead of reporting the one
+    # failure. Report-making runs no test code, so its deprecations are
+    # ignored; the tests themselves still run under -W error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", DeprecationWarning)
+        return (yield)

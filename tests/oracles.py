@@ -6,8 +6,13 @@ k-step closed form written out on their own, not as ``Linear(0)``, so they
 cannot share a fault with ``linear_point`` or ``linear_power_point``.
 ``negation_axioms_check`` tests the defining order structure of a
 negation pairwise, with no reference to any family's formula.
+``expovariate_random_dist`` is the flat-Dirichlet sampler written with the
+stdlib's exponential variates, which the library's ``random_dist`` must
+match bit for bit.
 """
 
+import math
+import random
 from typing import NamedTuple
 
 from pdnegate import DEFAULT_TOLERANCE, LengthMismatchError
@@ -22,6 +27,19 @@ def yager_power_point(p, n, k):
     """k-fold application of the yager negator to ``p``, in closed form:
     an explicit alternating power of 1/(n - 1)."""
     return 1.0 / n + (-1) ** k * (p - 1.0 / n) / (n - 1) ** k
+
+
+def expovariate_random_dist(n, seed):
+    """The values of ``random_dist(n, seed)``: n ``expovariate(1.0)`` draws
+    of ``random.Random(seed)`` over their ``fsum``, drawn again until every
+    value is positive."""
+    expovariate = random.Random(seed).expovariate
+    while True:
+        draws = [expovariate(1.0) for _ in range(n)]
+        total = math.fsum(draws)
+        values = tuple([d / total for d in draws])
+        if min(values) > 0.0:
+            return values
 
 
 class AxiomCheck(NamedTuple):

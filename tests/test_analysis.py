@@ -32,10 +32,11 @@ from pdnegate import (
     uniform_dist,
 )
 
+from pdnegate import analysis
 from pdnegate.cli import run
 
 from conftest import ALPHA_GRID, dists
-from oracles import negation_axioms_check, yager_point
+from oracles import expovariate_random_dist, negation_axioms_check, yager_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 
@@ -181,6 +182,88 @@ class TestClassify:
         got = classify(spec, n, samples=50, seed=11)
         assert replace(got, spec=linear) == classify(linear, n, samples=50, seed=11)
 
+    # Verdict and witnesses of classify(spec, n, samples=40, seed=2021),
+    # each witness as (p, np, nnp) in hex and its four flags (contracting,
+    # strictly_contracting, expanding, involutive); recorded from the
+    # implementation that scanned every coordinate for the involution test.
+    GOLDEN_DIST_LEVEL = {
+        (Tsallis(2.0), 3): ("CONTRACTING", [
+            ("0x1.af77600d936ecp-4", "0x1.d27993bd32cb0p-6", "0x1.c91f1d857a780p-8", "1000"),
+            ("0x1.1f4ce40745a6ap-2", "0x1.399068ea88a9cp-4", "0x1.2b12da6c1c270p-6", "1000"),
+            ("0x1.b11c8fa42be08p-5", "0x1.c14929e3884c0p-7", "0x1.bd184efd81080p-9", "1000"),
+        ]),
+        (Tsallis(2.0), 100): ("CONTRACTING", [
+            ("0x1.f92dad82268a9p-5", "0x1.9c51106c77900p-15", "0x1.50fc905e00000p-27", "1000"),
+            ("0x1.1de6014c2e024p-4", "0x1.017674f85fa80p-14", "0x1.a49750c700000p-27", "1000"),
+            ("0x1.29860ce69ce67p-5", "0x1.4a4eaeab93800p-16", "0x1.0e5af2fc00000p-28", "1000"),
+        ]),
+        (Tsallis(0.5), 3): ("CONTRACTING", [
+            ("0x1.af77600d936ecp-4", "0x1.1befd6af7ff94p-4", "0x1.8d5c682312eb0p-5", "1000"),
+            ("0x1.1f4ce40745a6ap-2", "0x1.b7edb15fae98ep-3", "0x1.175bc237434f0p-3", "1000"),
+            ("0x1.b11c8fa42be08p-5", "0x1.229d44642b988p-5", "0x1.91b49efb1d2e0p-6", "1000"),
+        ]),
+        (Tsallis(0.5), 100): ("CONTRACTING", [
+            ("0x1.f92dad82268a9p-5", "0x1.014dddd60aad0p-9", "0x1.e0da31e2f9900p-14", "1000"),
+            ("0x1.1de6014c2e024p-4", "0x1.184a6864a7ba4p-9", "0x1.073fc018b8500p-13", "1000"),
+            ("0x1.29860ce69ce67p-5", "0x1.688cdac8adcc8p-10", "0x1.4afcb7e816a80p-14", "1000"),
+        ]),
+        (Tsallis(-1.0), 3): ("EXPANDING", [
+            ("0x1.af77600d936ecp-4", "0x1.149d7de80c821p-3", "0x1.e3ff4bdb3b672p-3", "0010"),
+            ("0x1.1f4ce40745a6ap-2", "0x1.16688bd6015cap-1", "0x1.9ddcdd4652bb3p-2", "1010"),
+            ("0x1.b11c8fa42be08p-5", "0x1.2dd87362ef444p-4", "0x1.ee67aeb72858cp-4", "0010"),
+        ]),
+        (Tsallis(-1.0), 100): ("CONTRACTING", [
+            ("0x1.f92dad82268a9p-5", "0x1.3115ccc58ef67p-2", "0x1.0cb01d93b07acp-4", "1010"),
+            ("0x1.1de6014c2e024p-4", "0x1.631faa4dfc283p-3", "0x1.3253ca4f8b16cp-4", "1010"),
+            ("0x1.29860ce69ce67p-5", "0x1.c7342739e0c3dp-3", "0x1.357e578dfd9fap-5", "1010"),
+        ]),
+        (Involutive(), 3): ("INVOLUTIVE", [
+            ("0x1.af77600d936ecp-4", "0x1.8c41b2c0dbe5ep-4", "0x1.af77600d936e8p-4", "1011"),
+            ("0x1.1f4ce40745a6ap-2", "0x1.31603c01b11ebp-2", "0x1.1f4ce40745a6bp-2", "1011"),
+            ("0x1.b11c8fa42be08p-5", "0x1.a26dabbda7330p-5", "0x1.b11c8fa42be00p-5", "1011"),
+        ]),
+        (Involutive(), 100): ("INVOLUTIVE", [
+            ("0x1.f92dad82268a9p-5", "0x1.474d29b58d67bp-7", "0x1.f92dad82268afp-5", "1011"),
+            ("0x1.1de6014c2e024p-4", "0x1.474da10681d30p-7", "0x1.1de6014c2e028p-4", "1011"),
+            ("0x1.29860ce69ce67p-5", "0x1.46e0199d5fd70p-7", "0x1.29860ce69ce69p-5", "1011"),
+        ]),
+    }
+
+    @pytest.mark.parametrize("spec, n", list(GOLDEN_DIST_LEVEL), ids=repr)
+    def test_golden_dist_level_evidence(self, spec, n):
+        r = classify(spec, n, samples=40, seed=2021)
+        got = [
+            (w.p.hex(), w.np.hex(), w.nnp.hex(), "".join(
+                str(int(flag)) for flag in (
+                    w.contracting, w.strictly_contracting, w.expanding, w.involutive
+                )
+            ))
+            for w in r.witnesses
+        ]
+        assert (r.verdict.name, got) == self.GOLDEN_DIST_LEVEL[spec, n]
+
+    def test_involution_needs_every_coordinate(self, monkeypatch):
+        # Tsallis k = 1 is yager, which fixes 1/n: this start comes back to
+        # its first coordinate after two steps but not to the others.
+        start = make_dist([1 / 3, 0.2, 1 - 1 / 3 - 0.2])
+        monkeypatch.setattr(analysis, "random_dist", lambda n, seed: start)
+        twice = negate(Tsallis(1.0), negate(Tsallis(1.0), start))
+        assert abs(twice[0] - start[0]) <= DEFAULT_TOLERANCE.tol_eq
+        r = classify(Tsallis(1.0), 3, samples=5, seed=0)
+        assert r.verdict is Verdict.CONTRACTING
+        assert not any(w.involutive for w in r.witnesses)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 100])
+    @pytest.mark.parametrize(
+        "spec, alpha", [(Yager(), 0.0), (Uniform(), 1.0), (Linear(0.3), 0.3)]
+    )
+    def test_pointwise_witnesses_are_linear_point(self, spec, alpha, n):
+        r = classify(spec, n, samples=50, seed=13)
+        assert r.witnesses
+        for w in r.witnesses:
+            assert w.np.hex() == linear_point(w.p, n, alpha).hex()
+            assert w.nnp.hex() == linear_point(w.np, n, alpha).hex()
+
     def test_report_as_dict_shape(self, capsys):
         argv = ["classify", "--negator", "linear:alpha=0.5", "--n", "4",
                 "--samples", "20", "--seed", "5"]
@@ -311,3 +394,9 @@ class TestRandomDist:
     def test_length_domain(self):
         with pytest.raises(LengthError):
             random_dist(1, seed=0)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 100, 1000])
+    def test_bits_match_expovariate_draws(self, n):
+        for seed in range(200):
+            got = [v.hex() for v in random_dist(n, seed=seed)]
+            assert got == [v.hex() for v in expovariate_random_dist(n, seed)], seed

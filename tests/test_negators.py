@@ -9,9 +9,11 @@ from hypothesis import strategies as st
 
 from pdnegate import (
     DegenerateStatsError,
+    Dist,
     DistStats,
     DomainError,
     Involutive,
+    LengthError,
     Linear,
     LeftDomain,
     NegatorSyntaxError,
@@ -78,6 +80,21 @@ class TestSpecValidation:
     def test_tsallis_overflow_is_domain_error(self, values):
         with pytest.raises(DomainError):
             negate(Tsallis(-2.0), make_dist(values))
+
+
+class TestShortDist:
+    """Only direct construction builds a Dist of fewer than two values;
+    negate rejects it before any family's arithmetic runs."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [Yager(), Uniform(), Linear(0.3), Tsallis(2.0), Tsallis(-1.0), Involutive()],
+        ids=repr,
+    )
+    @pytest.mark.parametrize("values", [(), (0.5,), (1.0,)], ids=repr)
+    def test_length_error_for_every_family(self, spec, values):
+        with pytest.raises(LengthError):
+            negate(spec, Dist(values))
 
 
 def _near_complement(n, ulps):
