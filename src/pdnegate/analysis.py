@@ -142,7 +142,7 @@ def _linear_map(n: int, alpha: float) -> Callable[[float], float]:
     """``linear_point`` at length ``n`` and weight ``alpha``, with its
     constants hoisted and alpha's domain check left to the spec: the same
     operation order as ``linear_point`` and ``negate``, so the same bits."""
-    a, w, d = alpha / n, 1.0 - alpha, n - 1
+    a, w, d = alpha / n, 1.0 - alpha, n - 1.0
     return lambda p: a + w * (1.0 - p) / d
 
 

@@ -134,12 +134,22 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
     """
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
-    current = dist
-    trace = [OrbitStep(0, current, entropy(current), linf_to_uniform(current))]
+    trace = [_step(0, dist)]
     for k in range(1, steps + 1):
-        current = negate(spec, current)
-        trace.append(OrbitStep(k, current, entropy(current), linf_to_uniform(current)))
+        dist = negate(spec, dist)
+        trace.append(_step(k, dist))
     return OrbitTrace(tuple(trace))
+
+
+def _step(k: int, dist: Dist) -> OrbitStep:
+    """``OrbitStep(k, dist, entropy(dist), linf_to_uniform(dist))`` without
+    the generated ``__init__``, safe as ``OrbitStep`` is frozen, has no
+    ``__post_init__`` and keeps its fields, in this order, in its dict."""
+    step = object.__new__(OrbitStep)
+    state = step.__dict__
+    state["k"], state["dist"] = k, dist
+    state["entropy"], state["linf"] = entropy(dist), linf_to_uniform(dist)
+    return step
 
 
 def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
@@ -202,11 +212,14 @@ def converge(
             return LeftDomain(k - 1, current)
         if linf_to_uniform(current) < eps:
             return Converged(k, current)
+        if before is None:
+            # Step 1: nothing two back to match; at step 2, gap >= last_gap = 0.0.
+            before, previous = previous, current
+            continue
         gap = max_abs_diff(current, previous)
         if (
-            before is not None
-            and gap > tol.tol_eq
-            and (k == 2 or gap >= last_gap)
+            gap > tol.tol_eq
+            and gap >= last_gap
             and max_abs_diff(current, before) <= tol.tol_eq
         ):
             return Oscillating(period=2, witness=before)

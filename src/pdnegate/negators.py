@@ -168,7 +168,7 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     extremes = None
     match spec:
         case Yager():
-            d = n - 1
+            d = n - 1.0  # float / float is faster than float / int, same bits
             out = [(1.0 - p) / d for p in vals]
             extremes = ((1.0 - dist._hi) / d, (1.0 - dist._lo) / d)
         case Uniform():
@@ -176,7 +176,7 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
             out = [u] * n
             extremes = (u, u)
         case Linear(alpha=alpha):
-            a, w, d = alpha / n, 1.0 - alpha, n - 1
+            a, w, d = alpha / n, 1.0 - alpha, n - 1.0
             out = [a + w * (1.0 - p) / d for p in vals]
             extremes = (a + w * (1.0 - dist._hi) / d, a + w * (1.0 - dist._lo) / d)
         case Tsallis(k=k):

@@ -54,10 +54,12 @@ def pointwise_specs():
     )
 
 
+TSALLIS_KS = [0.5, 1.0, 2.0, 3.0]
+NEGATIVE_KS = [-0.5, -1.0, -2.0]
+
+
 def all_specs(include_negative_k=False):
-    ks = [0.5, 1.0, 2.0, 3.0]
-    if include_negative_k:
-        ks += [-0.5, -1.0, -2.0]
+    ks = TSALLIS_KS + NEGATIVE_KS if include_negative_k else TSALLIS_KS
     return st.one_of(
         pointwise_specs(),
         st.sampled_from(ks).map(Tsallis),
