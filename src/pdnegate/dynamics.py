@@ -189,6 +189,15 @@ def converge(
     contraction factor every step. A frozen non-uniform point is not
     reported either; such an orbit runs to ``MaxIterReached``.
 
+    Before it compares whole distributions, each step compares its
+    recorded min and max with those of the step two before. If the two
+    steps lie within ``tol.tol_eq`` of each other in the max norm, so do
+    their mins and their maxes: min and max move by no more than the max
+    norm does, and rounding a difference is monotone. So when either
+    extreme differs by more, the steps cannot match and nothing is
+    scanned; otherwise the full test runs. Every outcome is the one the
+    full test gives.
+
     An orbit whose later step falls outside the family's domain, such as
     tsallis with k < 0 once an entry underflows to 0, ends in
     ``LeftDomain``. A ``DomainError`` from the first step still
@@ -202,7 +211,7 @@ def converge(
     current = dist
     if linf_to_uniform(current) < eps:
         return Converged(0, current)
-    before, previous, last_gap = None, current, 0.0
+    before, previous, last_gap, t = None, current, 0.0, tol.tol_eq
     for k in range(1, max_iter + 1):
         try:
             current = negate(spec, current)
@@ -216,13 +225,14 @@ def converge(
             # Step 1: nothing two back to match; at step 2, gap >= last_gap = 0.0.
             before, previous = previous, current
             continue
-        gap = max_abs_diff(current, previous)
-        if (
-            gap > tol.tol_eq
-            and gap >= last_gap
-            and max_abs_diff(current, before) <= tol.tol_eq
-        ):
-            return Oscillating(period=2, witness=before)
+        gap = None  # not scanned; the next step scans it if it needs it
+        if abs(current._hi - before._hi) <= t and abs(current._lo - before._lo) <= t:
+            gap = max_abs_diff(current, previous)
+            if gap > t:
+                if last_gap is None:
+                    last_gap = max_abs_diff(previous, before)
+                if gap >= last_gap and max_abs_diff(current, before) <= t:
+                    return Oscillating(period=2, witness=before)
         before, previous, last_gap = previous, current, gap
     return MaxIterReached(current)
 

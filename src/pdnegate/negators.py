@@ -124,15 +124,10 @@ def involutive_point(p: float, s: DistStats) -> float:
 _SNAP = 1e-12
 
 
-def _snap_unit(values: list[float]) -> list[float]:
-    out = []
-    for v in values:
-        if -_SNAP <= v < 0.0:
-            v = 0.0
-        elif 1.0 < v <= 1.0 + _SNAP:
-            v = 1.0
-        out.append(v)
-    return out
+def _snap_unit(values: list[float]) -> tuple[float, ...]:
+    return tuple([
+        0.0 if -_SNAP <= v < 0.0 else 1.0 if 1.0 < v <= 1.0 + _SNAP else v for v in values
+    ])
 
 
 def negate(spec: NegatorSpec, dist: Dist) -> Dist:
@@ -141,11 +136,13 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     The output is routed through the validating constructor rather than
     renormalized, so the sum-to-one guarantee is checked, not imposed.
     Roundoff excursions past 0 or 1 of at most 1e-12 are snapped to the
-    boundary first; anything larger is a genuine range violation. An
-    output that fails validation even so raises ``DomainError``: the
-    input was valid, so the negation left the simplex. A ``Dist`` of fewer
-    than two values, which only direct construction can build, raises
-    ``LengthError`` for every family.
+    boundary first: when the output's min or max lies outside [0, 1], the
+    snapped output is validated, otherwise the output as computed, once.
+    A larger excursion is a genuine range violation. An output that fails
+    validation raises ``DomainError``: the input was valid, so the
+    negation left the simplex. A ``Dist`` of fewer than two values, which
+    only direct construction can build, raises ``LengthError`` for every
+    family.
 
     Each family's arithmetic is written out here with its per-call
     constants hoisted, in the same operation order as ``linear_point``
@@ -163,9 +160,8 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     # monotone under round-to-nearest (1 - p, a multiply by w >= 0, a
     # divide by a positive d or denom, an add of a), so its output's
     # extremes are its own expression at the input's max and min, equal to
-    # min(out) and max(out) exactly. Tsallis keeps the scan: libm's pow is
-    # not guaranteed monotone.
-    extremes = None
+    # min(out) and max(out) exactly. Tsallis scans its output: libm's pow
+    # is not guaranteed monotone.
     match spec:
         case Yager():
             d = n - 1.0  # float / float is faster than float / int, same bits
@@ -200,6 +196,7 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
                 out = [(w - 1.0) / -denom for w in powers]
             else:
                 out = [(1.0 - w) / denom for w in powers]
+            extremes = (min(out), max(out))
         case Involutive():
             lo, hi = dist._lo, dist._hi
             mp = hi + lo
@@ -210,16 +207,14 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
             extremes = ((mp - hi) / denom, (mp - lo) / denom)
         case _:
             raise TypeError(f"not a negator spec: {spec!r}")
-    # Snapping cannot change a list that is already inside [0, 1], so it
-    # is only tried once validation has found a value outside; the snapped
-    # list is scanned afresh. Every value is a float already, so
-    # make_dist's coercion is skipped.
-    out = tuple(out)
+    # Snapping cannot change a list that is already inside [0, 1], so only
+    # extremes outside it (or NaN) snap the list, which is then scanned
+    # afresh. Every value is a float already, so make_dist's coercion is
+    # skipped.
     try:
-        try:
-            return _validated(out, extremes=extremes)
-        except RangeError:
-            return _validated(tuple(_snap_unit(out)))
+        if 0.0 <= extremes[0] and extremes[1] <= 1.0:
+            return _validated(tuple(out), extremes=extremes)
+        return _validated(_snap_unit(out))
     except (RangeError, SumError) as exc:
         raise DomainError(f"negated output fails validation: {exc}") from exc
 

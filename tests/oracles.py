@@ -8,14 +8,27 @@ cannot share a fault with ``linear_point`` or ``linear_power_point``.
 negation pairwise, with no reference to any family's formula.
 ``expovariate_random_dist`` is the flat-Dirichlet sampler written with the
 stdlib's exponential variates, which the library's ``random_dist`` must
-match bit for bit.
+match bit for bit. ``reference_converge`` is ``converge`` with its
+recurrence test written plainly, comparing whole distributions at every
+step; the library's must give the same outcomes bit for bit.
 """
 
 import math
 import random
 from typing import NamedTuple
 
-from pdnegate import DEFAULT_TOLERANCE, LengthMismatchError
+from pdnegate import (
+    DEFAULT_TOLERANCE,
+    Converged,
+    DomainError,
+    LeftDomain,
+    LengthMismatchError,
+    MaxIterReached,
+    Oscillating,
+    linf_to_uniform,
+    max_abs_diff,
+    negate,
+)
 
 
 def yager_point(p, n):
@@ -70,3 +83,40 @@ def negation_axioms_check(p_dist, q_dist, tol=DEFAULT_TOLERANCE):
                     f"but q_{i + 1}={q[i]!r} < q_{j + 1}={q[j]!r}",
                 )
     return AxiomCheck(True, None)
+
+
+def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANCE):
+    """``converge`` as it was before it read the recorded extremes: from
+    step 2 on, every step scans for its gap to the step before, and scans
+    again for its distance to the step two before whenever that gap
+    exceeds ``tol.tol_eq``."""
+    if not eps > 0.0:
+        raise DomainError(f"eps must be > 0, got {eps!r}")
+    if max_iter < 1:
+        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+
+    current = dist
+    if linf_to_uniform(current) < eps:
+        return Converged(0, current)
+    before, previous, last_gap = None, current, 0.0
+    for k in range(1, max_iter + 1):
+        try:
+            current = negate(spec, current)
+        except DomainError:
+            if k == 1:
+                raise
+            return LeftDomain(k - 1, current)
+        if linf_to_uniform(current) < eps:
+            return Converged(k, current)
+        if before is None:
+            before, previous = previous, current
+            continue
+        gap = max_abs_diff(current, previous)
+        if (
+            gap > tol.tol_eq
+            and gap >= last_gap
+            and max_abs_diff(current, before) <= tol.tol_eq
+        ):
+            return Oscillating(period=2, witness=before)
+        before, previous, last_gap = previous, current, gap
+    return MaxIterReached(current)
