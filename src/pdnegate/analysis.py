@@ -48,7 +48,6 @@ from .simplex import (
     _validated,
     linf_to_uniform,
     max_abs_diff,
-    stats,
     uniform_dist,
 )
 from .negators import (
@@ -58,7 +57,6 @@ from .negators import (
     Tsallis,
     Uniform,
     Yager,
-    involutive_point,
     negate,
 )
 
@@ -67,7 +65,6 @@ __all__ = [
     "Verdict",
     "ClassificationReport",
     "InvolutionCheck",
-    "classify_point",
     "classify",
     "check_involution",
     "fixed_point",
@@ -123,8 +120,8 @@ def _linear_alpha(spec: NegatorSpec) -> float | None:
     value for value, or None for the families that read the whole
     distribution.
 
-    Yager is alpha = 0 and uniform alpha = 1; ``linear_point`` computes
-    their values bit for bit at those weights.
+    Yager is alpha = 0 and uniform alpha = 1; ``negate``'s linear
+    arithmetic computes their values bit for bit at those weights.
     """
     match spec:
         case Yager():
@@ -139,9 +136,9 @@ def _linear_alpha(spec: NegatorSpec) -> float | None:
 
 
 def _linear_map(n: int, alpha: float) -> Callable[[float], float]:
-    """``linear_point`` at length ``n`` and weight ``alpha``, with its
-    constants hoisted and alpha's domain check left to the spec: the same
-    operation order as ``linear_point`` and ``negate``, so the same bits."""
+    """The linear family's value map at length ``n`` and weight ``alpha``,
+    with its constants hoisted and alpha's domain check left to the spec:
+    the same operation order as ``negate``, so the same bits."""
     a, w, d = alpha / n, 1.0 - alpha, n - 1.0
     return lambda p: a + w * (1.0 - p) / d
 
@@ -165,25 +162,6 @@ def _point_verdict(p: float, np_: float, nnp: float, n: int, tol: Tolerance) -> 
         expanding=expanding,
         involutive=involutive,
     )
-
-
-def classify_point(
-    negator: Callable[[float], float],
-    p: float,
-    n: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> PointVerdict:
-    """Classify one probability value under a pointwise negator.
-
-    ``negator`` maps a value to its negation and is applied twice. The
-    families that read the whole distribution negate in a new context the
-    second time, so ``classify`` judges them at the distribution level.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise DomainError(f"p must be in [0, 1], got {p!r}")
-    np_ = negator(p)
-    nnp = negator(np_)
-    return _point_verdict(p, np_, nnp, n, tol)
 
 
 def _dist_verdict(
@@ -272,7 +250,6 @@ def classify(
 
     verdicts: list[PointVerdict] = []
     if alpha is not None:
-        # Grid points lie in [0, 1], so classify_point's domain check is skipped.
         f = _linear_map(n, alpha)
         for p in _grid_points(samples, rng):
             np_ = f(p)
@@ -320,42 +297,13 @@ def fixed_point(
     n: int,
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> float:
-    """The unique fixed probability value, 1/n, after verification.
-
-    Verifies that negating the uniform distribution reproduces it and,
-    for families with a pointwise form, scans a grid on [0, 1] to confirm
-    the value map crosses the identity only at 1/n. The involutive family
-    needs a concrete distribution for its stats and uses a seeded random
-    one. The tsallis family has no context-free pointwise form, so only
-    the uniform-distribution check applies there.
-    """
+    """The unique fixed probability value, 1/n, after checking that
+    negating the uniform distribution reproduces it."""
     _check_length(n)
-    fp = 1.0 / n
     u = uniform_dist(n)
     if max_abs_diff(negate(spec, u), u) > tol.tol_eq:
         raise ArithmeticError(f"{spec!r} does not fix the uniform distribution")
-
-    alpha = _linear_alpha(spec)
-    if alpha is not None:
-        f = _linear_map(n, alpha)
-    elif isinstance(spec, Involutive):
-        s = stats(random_dist(n, seed=0))
-        f = lambda p: involutive_point(p, s)  # noqa: E731
-    else:
-        return fp
-    if abs(f(fp) - fp) > tol.tol_eq:
-        raise ArithmeticError(f"{spec!r} does not fix {fp} pointwise")
-    step = 1.0 / 1000
-    for i in range(1001):
-        p = i * step
-        diff = f(p) - p
-        # A decreasing negator fixing 1/n must sit above the identity
-        # left of 1/n and below it to the right.
-        if p < fp - step and diff <= 0.0:
-            raise ArithmeticError(f"unexpected fixed point near p={p}")
-        if p > fp + step and diff >= 0.0:
-            raise ArithmeticError(f"unexpected fixed point near p={p}")
-    return fp
+    return 1.0 / n
 
 
 def random_dist(n: int, seed: int) -> Dist:

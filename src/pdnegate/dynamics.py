@@ -182,12 +182,19 @@ def converge(
     Each step is compared with the step two before it: period 2 is the
     only cycle the shipped families can produce, and this finds it
     however late the orbit falls into it. A match counts only when the
-    step in between lies more than ``tol.tol_eq`` away and, after step 2,
-    when that gap has stopped shrinking. An orbit that closes in
-    on uniform while alternating sides also comes back within
-    ``tol.tol_eq`` of its step two before, but its gap shrinks by the
-    contraction factor every step. A frozen non-uniform point is not
-    reported either; such an orbit runs to ``MaxIterReached``.
+    step in between lies more than ``tol.tol_eq`` away and that gap has
+    not shrunk: it is at least ``1 - 1e-12`` times the gap one step
+    earlier, less ``2**-50`` times the step's max, a few ulps of its
+    values. An orbit that closes in on uniform while alternating sides
+    also comes back within ``tol.tol_eq`` of its step two before, but its
+    gap shrinks by the contraction factor every step. The slack lets a
+    true cycle match at its first return, although rounding makes its
+    gaps differ in the last bits. The price is a band: a linear orbit
+    with ``1 - |a| <= 1e-12``, or whose per-step change
+    ``(1 - |a|) * d0`` is below a few ulps of its values (``d0`` the
+    start's distance to uniform), may be reported as a 2-cycle. A frozen
+    non-uniform point is not reported; such an orbit runs to
+    ``MaxIterReached``.
 
     Before it compares whole distributions, each step compares its
     recorded min and max with those of the step two before. If the two
@@ -211,7 +218,7 @@ def converge(
     current = dist
     if linf_to_uniform(current) < eps:
         return Converged(0, current)
-    before, previous, last_gap, t = None, current, 0.0, tol.tol_eq
+    before, previous, last_gap, t = None, current, None, tol.tol_eq
     for k in range(1, max_iter + 1):
         try:
             current = negate(spec, current)
@@ -222,7 +229,8 @@ def converge(
         if linf_to_uniform(current) < eps:
             return Converged(k, current)
         if before is None:
-            # Step 1: nothing two back to match; at step 2, gap >= last_gap = 0.0.
+            # Step 1: nothing two back to match. Its gap is scanned at step
+            # 2, and only if step 2 needs it.
             before, previous = previous, current
             continue
         gap = None  # not scanned; the next step scans it if it needs it
@@ -231,7 +239,10 @@ def converge(
             if gap > t:
                 if last_gap is None:
                     last_gap = max_abs_diff(previous, before)
-                if gap >= last_gap and max_abs_diff(current, before) <= t:
+                if (
+                    gap >= last_gap * (1.0 - 1e-12) - 2**-50 * current._hi
+                    and max_abs_diff(current, before) <= t
+                ):
                     return Oscillating(period=2, witness=before)
         before, previous, last_gap = previous, current, gap
     return MaxIterReached(current)

@@ -7,7 +7,6 @@ __all__ = [
     "SumError",
     "LengthMismatchError",
     "DomainError",
-    "DegenerateStatsError",
     "NegatorSyntaxError",
 ]
 
@@ -34,15 +33,6 @@ class LengthMismatchError(SimplexError):
 
 class DomainError(ValueError):
     """A parameter lies outside its mathematical domain."""
-
-
-class DegenerateStatsError(DomainError):
-    """Summary statistics imply a non-positive negator denominator.
-
-    Unreachable for stats computed from a valid distribution; raised only
-    for hand-built stats objects or a ``Dist`` built without ``make_dist``,
-    such as ``negate(Involutive(), Dist((0.0, 0.0)))``.
-    """
 
 
 class NegatorSyntaxError(ValueError):

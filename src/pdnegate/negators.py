@@ -24,14 +24,13 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import (
-    DegenerateStatsError,
     DomainError,
     LengthError,
     NegatorSyntaxError,
     RangeError,
     SumError,
 )
-from .simplex import Dist, DistStats, _validated
+from .simplex import Dist, _validated
 
 __all__ = [
     "Yager",
@@ -41,8 +40,6 @@ __all__ = [
     "Involutive",
     "NegatorSpec",
     "negate",
-    "linear_point",
-    "involutive_point",
     "parse_negator",
     "format_negator",
 ]
@@ -100,25 +97,6 @@ class Involutive:
 NegatorSpec = Yager | Uniform | Linear | Tsallis | Involutive
 
 
-def linear_point(p: float, n: int, alpha: float) -> float:
-    """Value of the linear family at ``p``; raises for alpha outside [0, 1]."""
-    _check_alpha(alpha)
-    return alpha / n + (1.0 - alpha) * (1.0 - p) / (n - 1)
-
-
-def involutive_point(p: float, s: DistStats) -> float:
-    """Value of the involutive family at ``p`` given the summary stats of
-    the distribution ``p`` belongs to.
-
-    ``n*mp - 1 > 0`` holds for the stats of any valid distribution; the
-    guard only fires on hand-built degenerate stats.
-    """
-    denom = s.n * s.mp - 1.0
-    if denom <= 0.0:
-        raise DegenerateStatsError(f"n*mp - 1 = {denom!r} is not positive")
-    return (s.mp - p) / denom
-
-
 # Inputs whose sum is an ulp off 1 can push an exact-arithmetic boundary
 # output a few ulps past it, e.g. (0, 0, 0, 1) under the involutive family.
 _SNAP = 1e-12
@@ -145,10 +123,10 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     family.
 
     Each family's arithmetic is written out here with its per-call
-    constants hoisted, in the same operation order as ``linear_point``
-    and ``involutive_point`` above and, for yager, the reference
-    ``yager_point`` in the test suite's ``tests/oracles.py``, so the
-    outputs equal theirs bit for bit.
+    constants hoisted, in the same operation order as the references
+    ``yager_point``, ``linear_point`` and ``involutive_point`` in the
+    test suite's ``tests/oracles.py``, so the outputs equal theirs bit
+    for bit.
     """
     vals = dist.values
     n = len(vals)
@@ -201,8 +179,10 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
             lo, hi = dist._lo, dist._hi
             mp = hi + lo
             denom = n * mp - 1.0
+            # Positive for every Dist from make_dist; a hand-built one such
+            # as Dist((0.0, 0.0)) can fail it.
             if denom <= 0.0:
-                raise DegenerateStatsError(f"n*mp - 1 = {denom!r} is not positive")
+                raise DomainError(f"n*mp - 1 = {denom!r} is not positive")
             out = [(mp - p) / denom for p in vals]
             extremes = ((mp - hi) / denom, (mp - lo) / denom)
         case _:

@@ -35,13 +35,11 @@ __all__ = [
     "Tolerance",
     "DEFAULT_TOLERANCE",
     "Dist",
-    "DistStats",
     "make_dist",
     "uniform_dist",
     "point_dist",
     "entropy",
     "linf_to_uniform",
-    "stats",
     "max_abs_diff",
     "parse_dist",
 ]
@@ -104,22 +102,6 @@ class Dist:
 
     def __getitem__(self, index: int) -> float:
         return self.values[index]
-
-
-@dataclass(frozen=True)
-class DistStats:
-    """Componentwise max/min of a distribution and their sum ``mp``.
-
-    For stats computed from a valid ``Dist``, ``min_p <= 1/n <= max_p``
-    and ``mp * n - 1 > 0``. Direct construction is deliberately
-    unvalidated so that degenerate inputs to downstream guards can be
-    built by hand.
-    """
-
-    max_p: float
-    min_p: float
-    mp: float
-    n: int
 
 
 def make_dist(values: Iterable[float], tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
@@ -222,13 +204,6 @@ def linf_to_uniform(dist: Dist) -> float:
     # comes from max(v), and u - v is exactly -(v - u).
     u = 1.0 / len(dist.values)
     return max(dist._hi - u, u - dist._lo)
-
-
-def stats(dist: Dist) -> DistStats:
-    """Componentwise max, min, and their sum for ``dist``: the extremes
-    that validation recorded on it, read without a scan."""
-    hi, lo = dist._hi, dist._lo
-    return DistStats(max_p=hi, min_p=lo, mp=hi + lo, n=dist.n)
 
 
 def max_abs_diff(a: Dist, b: Dist) -> float:

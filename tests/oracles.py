@@ -4,6 +4,9 @@ against. None of them is part of the package's API.
 ``yager_point`` and ``yager_power_point`` are the yager family and its
 k-step closed form written out on their own, not as ``Linear(0)``, so they
 cannot share a fault with ``linear_point`` or ``linear_power_point``.
+``linear_point`` and ``involutive_point`` are the linear and involutive
+families' values at one probability, in the kernel's operation order, so
+``negate``'s outputs must equal theirs bit for bit.
 ``negation_axioms_check`` tests the defining order structure of a
 negation pairwise, with no reference to any family's formula.
 ``expovariate_random_dist`` is the flat-Dirichlet sampler written with the
@@ -40,6 +43,19 @@ def yager_power_point(p, n, k):
     """k-fold application of the yager negator to ``p``, in closed form:
     an explicit alternating power of 1/(n - 1)."""
     return 1.0 / n + (-1) ** k * (p - 1.0 / n) / (n - 1) ** k
+
+
+def linear_point(p, n, alpha):
+    """Value of the linear family at ``p`` for length ``n`` and weight
+    ``alpha``; yager is ``alpha = 0``, uniform ``alpha = 1``."""
+    return alpha / n + (1.0 - alpha) * (1.0 - p) / (n - 1)
+
+
+def involutive_point(p, dist):
+    """Value of the involutive family at ``p``, a value of ``dist``:
+    ``(mp - p) / (n*mp - 1)`` with ``mp = max(dist) + min(dist)``."""
+    mp = max(dist.values) + min(dist.values)
+    return (mp - p) / (len(dist.values) * mp - 1.0)
 
 
 def expovariate_random_dist(n, seed):
@@ -86,10 +102,11 @@ def negation_axioms_check(p_dist, q_dist, tol=DEFAULT_TOLERANCE):
 
 
 def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANCE):
-    """``converge`` as it was before it read the recorded extremes: from
-    step 2 on, every step scans for its gap to the step before, and scans
+    """``converge`` without its reading of the recorded extremes: every
+    step scans for its gap to the step before, and from step 2 on scans
     again for its distance to the step two before whenever that gap
-    exceeds ``tol.tol_eq``."""
+    exceeds ``tol.tol_eq`` and has not shrunk by more than ``converge``'s
+    slack."""
     if not eps > 0.0:
         raise DomainError(f"eps must be > 0, got {eps!r}")
     if max_iter < 1:
@@ -98,7 +115,7 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANC
     current = dist
     if linf_to_uniform(current) < eps:
         return Converged(0, current)
-    before, previous, last_gap = None, current, 0.0
+    before, previous, last_gap = None, current, None
     for k in range(1, max_iter + 1):
         try:
             current = negate(spec, current)
@@ -108,13 +125,11 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANC
             return LeftDomain(k - 1, current)
         if linf_to_uniform(current) < eps:
             return Converged(k, current)
-        if before is None:
-            before, previous = previous, current
-            continue
         gap = max_abs_diff(current, previous)
         if (
-            gap > tol.tol_eq
-            and gap >= last_gap
+            before is not None
+            and gap > tol.tol_eq
+            and gap >= last_gap * (1.0 - 1e-12) - 2**-50 * current._hi
             and max_abs_diff(current, before) <= tol.tol_eq
         ):
             return Oscillating(period=2, witness=before)

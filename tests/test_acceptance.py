@@ -14,6 +14,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from pdnegate import (
+    DEFAULT_TOLERANCE,
     Converged,
     Involutive,
     Linear,
@@ -24,14 +25,11 @@ from pdnegate import (
     Yager,
     check_involution,
     classify,
-    classify_point,
     contraction_factor,
     converge,
     entropy,
     fixed_point,
-    involutive_point,
     iterate,
-    linear_point,
     linear_power_point,
     linf_to_uniform,
     make_dist,
@@ -39,11 +37,11 @@ from pdnegate import (
     negate,
     point_dist,
     random_dist,
-    stats,
     uniform_dist,
 )
+from pdnegate.analysis import _point_verdict
 
-from oracles import yager_point, yager_power_point
+from oracles import involutive_point, linear_point, yager_point, yager_power_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 ALPHAS_11 = [i / 10 for i in range(11)]
@@ -178,8 +176,8 @@ def test_criterion_6_ranges_and_fixed_points():
             for alpha in ALPHAS_11:
                 assert abs(linear_point(1.0 / n, n, alpha) - 1.0 / n) <= 1e-12
             for seed in range(10):
-                s = stats(random_dist(n, seed=seed))
-                assert abs(involutive_point(1.0 / n, s) - 1.0 / n) <= 1e-12
+                d = random_dist(n, seed=seed)
+                assert abs(involutive_point(1.0 / n, d) - 1.0 / n) <= 1e-12
             for spec in (Yager(), Uniform(), Linear(0.3), Tsallis(2.0),
                          Involutive()):
                 assert abs(fixed_point(spec, n) - 1.0 / n) <= 1e-15
@@ -198,13 +196,16 @@ def test_criterion_7_strict_contraction():
                 for p in points:
                     if abs(p - 1.0 / n) <= 1e-9:
                         continue
-                    v = classify_point(lambda x: linear_point(x, n, alpha), p, n)
+                    q = linear_point(p, n, alpha)
+                    v = _point_verdict(
+                        p, q, linear_point(q, n, alpha), n, DEFAULT_TOLERANCE
+                    )
                     assert v.strictly_contracting, (alpha, n, p)
 
         for n in (2, 4, 7):
             report = classify(Uniform(), n, samples=100, seed=42)
             assert report.verdict is Verdict.CONTRACTING
-        v = classify_point(lambda x: 0.25, 0.9, 4)
+        v = _point_verdict(0.9, 0.25, 0.25, 4, DEFAULT_TOLERANCE)
         assert v.contracting and not v.strictly_contracting
 
 

@@ -20,15 +20,11 @@ from pdnegate import (
     Yager,
     check_involution,
     classify,
-    classify_point,
     fixed_point,
-    involutive_point,
-    linear_point,
     make_dist,
     negate,
     point_dist,
     random_dist,
-    stats,
     uniform_dist,
 )
 
@@ -36,9 +32,22 @@ from pdnegate import analysis
 from pdnegate.cli import run
 
 from conftest import ALPHA_GRID, dists
-from oracles import expovariate_random_dist, negation_axioms_check, yager_point
+from oracles import (
+    expovariate_random_dist,
+    involutive_point,
+    linear_point,
+    negation_axioms_check,
+    yager_point,
+)
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
+
+
+def classify_point(f, p, n):
+    """The bracket flags of ``p`` under the value map ``f``, applied
+    twice, as ``classify`` judges its grid points."""
+    np_ = f(p)
+    return analysis._point_verdict(p, np_, f(np_), n, DEFAULT_TOLERANCE)
 
 
 class TestClassifyPoint:
@@ -62,18 +71,13 @@ class TestClassifyPoint:
         assert not v.strictly_contracting
         assert not v.involutive
 
-    def test_p_domain(self):
-        with pytest.raises(DomainError):
-            classify_point(lambda p: 0.5, 1.5, 2)
-
     def test_second_evaluator_for_context_rewriting(self):
         """The involutive family's second application must use the
-        negated distribution's stats; with that rewriting every value
+        negated distribution's max and min; with that rewriting every value
         returns to itself."""
-        s = stats(EXAMPLE)
-        s2 = stats(negate(Involutive(), EXAMPLE))
+        once = negate(Involutive(), EXAMPLE)
         for p in EXAMPLE:
-            back = involutive_point(involutive_point(p, s), s2)
+            back = involutive_point(involutive_point(p, EXAMPLE), once)
             assert abs(back - p) <= DEFAULT_TOLERANCE.tol_eq
 
     @given(dists(min_n=2, max_n=8))
@@ -86,8 +90,7 @@ class TestClassifyPoint:
         evaluators += [
             (lambda a: lambda p: linear_point(p, n, a))(a) for a in (0.3, 0.9)
         ]
-        s = stats(d)
-        s2 = stats(negate(Involutive(), d))
+        once = negate(Involutive(), d)
         for p in list(d) + [0.0, 1.0 / n]:
             for f in evaluators:
                 v = classify_point(f, p, n)
@@ -96,8 +99,8 @@ class TestClassifyPoint:
                 assert v.strictly_contracting <= v.contracting
             # The involutive family, re-evaluated in the negated context,
             # returns every value to itself.
-            p = p if s.min_p <= p <= s.max_p else s.min_p
-            back = involutive_point(involutive_point(p, s), s2)
+            p = p if d._lo <= p <= d._hi else d._lo
+            back = involutive_point(involutive_point(p, d), once)
             assert abs(back - p) <= DEFAULT_TOLERANCE.tol_eq
 
 
@@ -329,7 +332,7 @@ class TestFixedPoint:
     def test_involutive_with_context(self):
         fp = fixed_point(Involutive(), 5)
         assert fp == pytest.approx(0.2, abs=1e-15)
-        assert involutive_point(fp, stats(EXAMPLE)) == pytest.approx(fp, abs=1e-12)
+        assert involutive_point(fp, EXAMPLE) == pytest.approx(fp, abs=1e-12)
 
     def test_involutive_default_context(self):
         assert fixed_point(Involutive(), 3) == pytest.approx(1 / 3, abs=1e-15)

@@ -419,6 +419,13 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: ")
 
+    @pytest.mark.parametrize("dist", ["[[1]]", '["0.5","0.5"]'], ids=["nested", "strings"])
+    def test_non_numeric_json_is_input_error(self, capsys, dist):
+        code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", dist)
+        assert code == 1
+        assert out == ""
+        assert "must be an array of numbers" in err
+
     @pytest.mark.parametrize(
         "command", ["negate", "iterate", "converge", "classify", "fixed-point"]
     )

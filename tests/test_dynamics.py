@@ -4,7 +4,8 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from pdnegate import (
     Converged,
@@ -21,7 +22,6 @@ from pdnegate import (
     converge,
     entropy,
     iterate,
-    linear_point,
     linear_power_point,
     linf_to_uniform,
     make_dist,
@@ -34,7 +34,7 @@ from pdnegate import (
 )
 
 from conftest import ALPHA_GRID, all_specs, dists, positive_dists
-from oracles import yager_power_point
+from oracles import linear_point, yager_power_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 
@@ -280,6 +280,81 @@ class TestConverge:
         out = converge(Tsallis(2.0), point_dist(2, 2), eps=1e-9)
         assert isinstance(out, Oscillating)
         assert out.period == 2
+
+
+@st.composite
+def _starts(draw, min_n=2, max_n=12):
+    """A ``dists()`` start, or one pulled toward uniform by a factor down
+    to 1e-8: near uniform, a cycle's gaps are tiny and rounding shows."""
+    d = draw(dists(min_n=min_n, max_n=max_n))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e-6, 1e-8]))
+    u = 1.0 / d.n
+    return make_dist([u + scale * (v - u) for v in d])
+
+
+def _in_band(a, d0):
+    """Whether a linear orbit with |factor| ``a`` from distance ``d0``
+    lies in the band where converge may report a 2-cycle, with margin:
+    ``1 - a <= 1e-12``, or a per-step change ``(1 - a) * d0`` of a few
+    ulps."""
+    return 1.0 - a <= 2e-12 or (1.0 - a) * d0 <= 2**-48
+
+
+class TestConvergeTheorem:
+    """converge against the paper's theorem: a linear negator with
+    |factor| < 1 drives every start to uniform at the rate |factor|."""
+
+    @given(
+        alpha=st.floats(min_value=0.0, max_value=1.0),
+        d=_starts(),
+        eps=st.sampled_from([1e-12, 1e-9, 1e-6]),
+    )
+    @settings(max_examples=300, deadline=None)
+    # |factor| 0.999: step 2 returns within tol_eq of the start, yet the
+    # orbit contracts. Then one inside the band, 1 - |factor| = 1e-13.
+    @example(alpha=0.001, d=make_dist([0.5 - 4e-7, 0.5 + 4e-7]), eps=1e-9)
+    @example(alpha=1e-13, d=make_dist([0.3, 0.7]), eps=1e-9)
+    def test_linear_orbit_outcome(self, alpha, d, eps):
+        cf = contraction_factor(d.n, alpha)
+        assume(cf.convergent)
+        a, d0 = abs(cf.factor), linf_to_uniform(d)
+        out = converge(Linear(alpha), d, eps=eps)
+        if isinstance(out, Oscillating):
+            assert _in_band(a, d0)
+            assert out.period == 2
+            return
+        if d0 < eps:
+            predicted = 0
+        elif a == 0.0:
+            predicted = 1
+        else:
+            predicted = math.ceil(math.log(eps / d0) / math.log(a))
+        if isinstance(out, Converged):
+            assert abs(out.steps - predicted) <= 1
+        else:
+            assert isinstance(out, MaxIterReached)
+            assert predicted >= 1000 - 1
+
+    @given(
+        case=st.one_of(
+            st.tuples(st.just(Involutive()), _starts()),
+            st.tuples(st.just(Yager()), _starts(min_n=2, max_n=2)),
+        ),
+        eps=st.sampled_from([1e-9, 1e-8, 1e-6]),
+    )
+    @settings(max_examples=300, deadline=None)
+    # Its gaps differ by more than 1e-12 of themselves: the ulp term of
+    # converge's slack finds the cycle at the first return.
+    @example(case=(Involutive(), make_dist([0.500000005, 0.499999995])), eps=1e-9)
+    @example(case=(Yager(), make_dist([0.500000005, 0.499999995])), eps=1e-9)
+    def test_true_cycle_found_at_first_return(self, case, eps):
+        """The involutive family and yager at n = 2 cycle with period 2:
+        from a start farther than eps >= tol_eq from uniform, converge
+        reports it with the start as witness."""
+        spec, d = case
+        assume(linf_to_uniform(d) > eps)
+        out = converge(spec, d, eps=eps)
+        assert out == Oscillating(period=2, witness=d)
 
 
 # The worked involutive example, two steps, as orbit_csv writes it.

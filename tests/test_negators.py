@@ -8,9 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdnegate import (
-    DegenerateStatsError,
     Dist,
-    DistStats,
     DomainError,
     Involutive,
     LengthError,
@@ -23,22 +21,19 @@ from pdnegate import (
     Yager,
     converge,
     format_negator,
-    involutive_point,
-    linear_point,
     make_dist,
     max_abs_diff,
     negate,
     parse_negator,
     point_dist,
     random_dist,
-    stats,
     uniform_dist,
 )
 
 from pdnegate.negators import _SPEC_SYNTAX
 
 from conftest import ALPHA_GRID, all_specs, dists, positive_dists
-from oracles import negation_axioms_check, yager_point
+from oracles import involutive_point, linear_point, negation_axioms_check, yager_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 
@@ -185,8 +180,7 @@ def _pointwise(spec, d):
         case Linear(alpha=alpha):
             return tuple(_snapped(linear_point(p, n, alpha)) for p in d)
         case Involutive():
-            s = stats(d)
-            return tuple(_snapped(involutive_point(p, s)) for p in d)
+            return tuple(_snapped(involutive_point(p, d)) for p in d)
 
 
 KERNEL_SPECS = st.one_of(
@@ -195,7 +189,7 @@ KERNEL_SPECS = st.one_of(
 
 
 class TestKernelMatchesPointwise:
-    """negate's per-family loops repeat the pointwise functions' arithmetic,
+    """negate's per-family loops repeat the oracles' pointwise arithmetic,
     so their outputs must agree exactly, not just approximately."""
 
     @given(KERNEL_SPECS, dists(min_n=2, max_n=50))
@@ -212,8 +206,7 @@ class TestKernelMatchesPointwise:
         # The second involutive step from a point mass overshoots 1 by an
         # ulp: validation rejects the raw output and the snap repairs it.
         q = negate(Involutive(), point_dist(4, 4))
-        s = stats(q)
-        raw = [involutive_point(p, s) for p in q]
+        raw = [involutive_point(p, q) for p in q]
         with pytest.raises(RangeError):
             make_dist(raw)
         assert negate(Involutive(), q).values == (0.0, 0.0, 0.0, 1.0)
@@ -231,39 +224,34 @@ class TestPointwiseValues:
         assert linear_point(0.9, 5, 0.0) == pytest.approx(0.025, abs=1e-15)
         assert linear_point(0.0, 2, 0.5) == pytest.approx(0.75, abs=1e-15)
 
-    def test_linear_alpha_domain(self):
-        with pytest.raises(DomainError):
-            linear_point(0.5, 3, 1.5)
-
     def test_involutive_values(self):
-        s = stats(EXAMPLE)
-        assert involutive_point(0.1, s) == pytest.approx(0.3, abs=1e-12)
-        assert involutive_point(0.2, s) == pytest.approx(0.2, abs=1e-12)
+        assert involutive_point(0.1, EXAMPLE) == pytest.approx(0.3, abs=1e-12)
+        assert involutive_point(0.2, EXAMPLE) == pytest.approx(0.2, abs=1e-12)
 
     def test_involutive_fixes_one_over_n(self):
         for seed in range(20):
             d = random_dist(5, seed=seed)
-            assert involutive_point(0.2, stats(d)) == pytest.approx(0.2, abs=1e-12)
+            assert involutive_point(0.2, d) == pytest.approx(0.2, abs=1e-12)
 
     def test_involutive_coincides_with_yager_when_mp_is_one(self):
-        s = stats(point_dist(4, 2))
-        assert s.mp == 1.0
+        d = point_dist(4, 2)
+        assert d._hi + d._lo == 1.0
         for p in (0.0, 0.25, 0.5, 1.0):
-            assert involutive_point(p, s) == pytest.approx(
+            assert involutive_point(p, d) == pytest.approx(
                 yager_point(p, 4), abs=1e-12
             )
 
     def test_degenerate_stats_guard(self):
-        # Unreachable from valid distributions; hand-built stats only.
-        bad = DistStats(max_p=0.2, min_p=0.0, mp=0.2, n=5)
-        with pytest.raises(DegenerateStatsError):
-            involutive_point(0.1, bad)
+        # n*mp - 1 > 0 for every Dist from make_dist (TestStats in
+        # test_simplex.py); only a hand-built Dist reaches the guard.
+        with pytest.raises(DomainError, match="is not positive"):
+            negate(Involutive(), Dist((0.0, 0.0)))
 
 
 class TestLinearParams:
     """The paper writes a linear negator by alpha, by n1 = N(1) or by
     n0 = N(0): n1 = alpha/n, n0 = alpha/n + (1 - alpha)/(n - 1), so
-    alpha = n*n1 = n*(1 - (n - 1)*n0). These check ``linear_point``'s
+    alpha = n*n1 = n*(1 - (n - 1)*n0). These check the ``linear_point`` oracle's
     values at 1 and 0 against those forms."""
 
     def test_alpha_zero_matches_yager(self):
@@ -376,13 +364,12 @@ class TestInvolutiveStructure:
     def test_stats_rewriting(self, d):
         """Negation maps max to max/(n*MP-1), min to min/(n*MP-1), and
         MP to MP/(n*MP-1)."""
-        s = stats(d)
+        mp = d._hi + d._lo
         q = negate(Involutive(), d)
-        sq = stats(q)
-        denom = s.n * s.mp - 1.0
-        assert abs(sq.max_p - s.max_p / denom) <= 1e-12
-        assert abs(sq.min_p - s.min_p / denom) <= 1e-12
-        assert abs(sq.mp - s.mp / denom) <= 1e-12
+        denom = d.n * mp - 1.0
+        assert abs(q._hi - d._hi / denom) <= 1e-12
+        assert abs(q._lo - d._lo / denom) <= 1e-12
+        assert abs(q._hi + q._lo - mp / denom) <= 1e-12
 
     @given(dists(min_n=2, max_n=10))
     @settings(max_examples=500)
@@ -403,9 +390,8 @@ class TestInvolutiveStructure:
     def test_sign_pattern(self, d):
         """Values below 1/n negate to above 1/n and vice versa."""
         n = d.n
-        s = stats(d)
         for p in d:
-            q = involutive_point(p, s)
+            q = involutive_point(p, d)
             if p < 1.0 / n - 1e-12:
                 assert q > 1.0 / n - 1e-12
             if p > 1.0 / n + 1e-12:
@@ -415,13 +401,12 @@ class TestInvolutiveStructure:
         """N(p) - p changes sign only at 1/n, for many sampled contexts."""
         for seed in range(40):
             d = random_dist(5, seed=seed)
-            s = stats(d)
-            lo, hi = s.min_p, s.max_p
+            lo, hi = d._lo, d._hi
             prev_sign = None
             crossings = 0
             for i in range(201):
                 p = lo + (hi - lo) * i / 200
-                diff = involutive_point(p, s) - p
+                diff = involutive_point(p, d) - p
                 sign = 0 if abs(diff) <= 1e-15 else (1 if diff > 0 else -1)
                 if prev_sign is not None and sign != 0 and prev_sign != 0:
                     if sign != prev_sign:

@@ -13,15 +13,15 @@ README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encodi
 PUBLIC = {
     # errors
     "SimplexError", "LengthError", "RangeError", "SumError",
-    "LengthMismatchError", "DomainError", "DegenerateStatsError",
+    "LengthMismatchError", "DomainError",
     "NegatorSyntaxError",
     # simplex
-    "Tolerance", "DEFAULT_TOLERANCE", "Dist", "DistStats", "make_dist",
-    "uniform_dist", "point_dist", "entropy", "linf_to_uniform", "stats",
+    "Tolerance", "DEFAULT_TOLERANCE", "Dist", "make_dist",
+    "uniform_dist", "point_dist", "entropy", "linf_to_uniform",
     "max_abs_diff", "parse_dist",
     # negators
     "Yager", "Uniform", "Linear", "Tsallis", "Involutive", "NegatorSpec",
-    "negate", "linear_point", "involutive_point", "parse_negator",
+    "negate", "parse_negator",
     "format_negator",
     # dynamics
     "OrbitStep", "OrbitTrace", "ContractionFactor", "Converged",
@@ -30,7 +30,7 @@ PUBLIC = {
     "orbit_csv",
     # analysis
     "PointVerdict", "Verdict", "ClassificationReport", "InvolutionCheck",
-    "classify_point", "classify", "check_involution", "fixed_point",
+    "classify", "check_involution", "fixed_point",
     "random_dist",
 }
 

@@ -27,7 +27,6 @@ from pdnegate import (
     parse_dist,
     point_dist,
     random_dist,
-    stats,
     uniform_dist,
 )
 
@@ -300,20 +299,23 @@ class TestLinfToUniform:
 
 
 class TestStats:
+    """The recorded max and min, and their sum mp, which the involutive
+    family reads."""
+
     def test_example(self):
-        s = stats(make_dist(EXAMPLE))
-        assert s.max_p == 0.3
-        assert s.min_p == 0.1
-        assert s.mp == pytest.approx(0.4, abs=1e-15)
-        assert s.n == 5
+        d = make_dist(EXAMPLE)
+        assert d._hi == 0.3
+        assert d._lo == 0.1
+        assert d._hi + d._lo == pytest.approx(0.4, abs=1e-15)
+        assert d.n == 5
 
     def test_uniform(self):
-        s = stats(uniform_dist(4))
-        assert s.mp == pytest.approx(0.5, abs=1e-15)
+        d = uniform_dist(4)
+        assert d._hi + d._lo == pytest.approx(0.5, abs=1e-15)
 
     def test_point(self):
-        s = stats(point_dist(3, 2))
-        assert (s.max_p, s.min_p, s.mp) == (1.0, 0.0, 1.0)
+        d = point_dist(3, 2)
+        assert (d._hi, d._lo, d._hi + d._lo) == (1.0, 0.0, 1.0)
 
     @given(dists())
     def test_denominator_positivity(self, d):
@@ -322,8 +324,7 @@ class TestStats:
         max(P) >= 1/n always; equality forces the uniform distribution,
         where MP = 2/n. Either way n*MP exceeds 1.
         """
-        s = stats(d)
-        assert s.n * s.mp - 1.0 > 0.0
+        assert d.n * (d._hi + d._lo) - 1.0 > 0.0
 
 
 class TestComparison:
@@ -356,14 +357,14 @@ class TestTextFormat:
 
 
 class TestNegativeZero:
-    """make_dist stores a -0.0 input as 0.0, so nothing downstream (stats,
-    the CLI's echo of a start) sees the sign."""
+    """make_dist stores a -0.0 input as 0.0, so nothing downstream (the
+    recorded min, the CLI's echo of a start) sees the sign."""
 
     @pytest.mark.parametrize("values", [[-0.0, 1.0], [0.5, -0.0, 0.5], [0.0, -0.0, 1.0]])
     def test_stored_as_plus_zero(self, values):
         d = make_dist(values)
         assert [v.hex() for v in d] == [(v + 0.0).hex() for v in values]
-        assert math.copysign(1.0, stats(d).min_p) == 1.0
+        assert math.copysign(1.0, d._lo) == 1.0
 
 
 def _recorded(d):
@@ -423,16 +424,16 @@ class TestRecordedExtremes:
 
     def test_direct_construction_measures(self):
         d = Dist((0.25, 0.75))
-        assert (stats(d).max_p, stats(d).min_p) == (0.75, 0.25)
+        assert (d._hi, d._lo) == (0.75, 0.25)
         assert linf_to_uniform(d) == 0.25
 
     def test_replace_recomputes(self):
         d = make_dist([0.2, 0.8])
         e = dataclasses.replace(d, values=(0.875, 0.125))
         assert "_lo" not in vars(e) and "_hi" not in vars(e)
-        assert (stats(e).max_p, stats(e).min_p) == (0.875, 0.125)
+        assert (e._hi, e._lo) == (0.875, 0.125)
         assert linf_to_uniform(e) == 0.375
-        assert (stats(d).max_p, stats(d).min_p) == (0.8, 0.2)
+        assert (d._hi, d._lo) == (0.8, 0.2)
 
     @given(dists())
     def test_eq_hash_repr_see_only_values(self, d):
