@@ -37,6 +37,7 @@ import math
 import random
 from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -143,40 +144,26 @@ def _linear_map(n: int, alpha: float) -> Callable[[float], float]:
     return lambda p: a + w * (1.0 - p) / d
 
 
-def _point_verdict(p: float, np_: float, nnp: float, n: int, tol: Tolerance) -> PointVerdict:
+def _point_verdict(p: float, np_: float, nnp: float, n: int, tol: Tolerance) -> tuple:
+    """``PointVerdict``'s fields, in its order, as a plain tuple."""
     t = tol.tol_eq
     lo_c, hi_c = min(p, np_), max(p, np_)
-    contracting = lo_c - t <= nnp <= hi_c + t
     lo_e, hi_e = min(np_, nnp), max(np_, nnp)
-    expanding = lo_e - t <= p <= hi_e + t
-    involutive = abs(nnp - p) <= t
-    strict = (
-        abs(p - 1.0 / n) > t and lo_c + t < nnp < hi_c - t
-    )
-    return PointVerdict(
-        p=p,
-        np=np_,
-        nnp=nnp,
-        contracting=contracting,
-        strictly_contracting=strict,
-        expanding=expanding,
-        involutive=involutive,
+    return (
+        p,
+        np_,
+        nnp,
+        lo_c - t <= nnp <= hi_c + t,
+        abs(p - 1.0 / n) > t and lo_c + t < nnp < hi_c - t,
+        lo_e - t <= p <= hi_e + t,
+        abs(nnp - p) <= t,
     )
 
 
-def _dist_verdict(
-    d0: float, d1: float, d2: float, returned: bool, tol: Tolerance
-) -> PointVerdict:
+def _dist_verdict(d0: float, d1: float, d2: float, returned: bool, tol: Tolerance) -> tuple:
+    """``PointVerdict``'s fields, in its order, as a plain tuple."""
     t = tol.tol_eq
-    return PointVerdict(
-        p=d0,
-        np=d1,
-        nnp=d2,
-        contracting=d2 <= max(d0, d1) + t,
-        strictly_contracting=False,
-        expanding=d0 <= max(d1, d2) + t,
-        involutive=returned,
-    )
+    return (d0, d1, d2, d2 <= max(d0, d1) + t, False, d0 <= max(d1, d2) + t, returned)
 
 
 def _grid_points(samples: int, rng: random.Random) -> list[float]:
@@ -186,42 +173,44 @@ def _grid_points(samples: int, rng: random.Random) -> list[float]:
     return grid
 
 
-def _aggregate(verdicts: list[PointVerdict], n: int, tol: Tolerance) -> Verdict:
-    if all(v.involutive for v in verdicts):
+# Positions of PointVerdict's fields in the per-sample flag tuples.
+_P, _CONTRACTING, _STRICT, _EXPANDING, _INVOLUTIVE = 0, 3, 4, 5, 6
+
+
+def _aggregate(verdicts: list[tuple], n: int, tol: Tolerance) -> Verdict:
+    if all(v[_INVOLUTIVE] for v in verdicts):
         return Verdict.INVOLUTIVE
-    if all(v.contracting for v in verdicts):
-        eligible = [v for v in verdicts if abs(v.p - 1.0 / n) > tol.tol_eq]
-        if eligible and all(v.strictly_contracting for v in eligible):
+    if all(v[_CONTRACTING] for v in verdicts):
+        eligible = [v for v in verdicts if abs(v[_P] - 1.0 / n) > tol.tol_eq]
+        if eligible and all(v[_STRICT] for v in eligible):
             return Verdict.STRICTLY_CONTRACTING
         return Verdict.CONTRACTING
-    if all(v.expanding for v in verdicts):
+    if all(v[_EXPANDING] for v in verdicts):
         return Verdict.EXPANDING
     return Verdict.MIXED
 
 
 def _witnesses(
-    verdicts: list[PointVerdict], verdict: Verdict, n: int, tol: Tolerance
+    verdicts: list[tuple], verdict: Verdict, n: int, tol: Tolerance
 ) -> tuple[PointVerdict, ...]:
     def firstn(pred, count=3):
-        return [v for v in verdicts if pred(v)][:count]
+        return list(islice(filter(pred, verdicts), count))
 
     if verdict is Verdict.INVOLUTIVE:
-        picks = firstn(lambda v: v.involutive)
+        picks = firstn(lambda v: v[_INVOLUTIVE])
     elif verdict is Verdict.STRICTLY_CONTRACTING:
-        picks = firstn(lambda v: v.strictly_contracting)
+        picks = firstn(lambda v: v[_STRICT])
     elif verdict is Verdict.CONTRACTING:
         # Lead with a bracket-equality point: the evidence strictness fails.
-        picks = firstn(
-            lambda v: abs(v.p - 1.0 / n) > tol.tol_eq and not v.strictly_contracting, 1
-        )
-        picks += firstn(lambda v: v.contracting and v not in picks, 3 - len(picks))
+        picks = firstn(lambda v: abs(v[_P] - 1.0 / n) > tol.tol_eq and not v[_STRICT], 1)
+        picks += firstn(lambda v: v[_CONTRACTING] and v not in picks, 3 - len(picks))
     elif verdict is Verdict.EXPANDING:
-        picks = firstn(lambda v: v.expanding and not v.involutive)
+        picks = firstn(lambda v: v[_EXPANDING] and not v[_INVOLUTIVE])
     else:
-        picks = firstn(lambda v: v.contracting and not v.expanding, 1)
-        picks += firstn(lambda v: v.expanding and not v.contracting, 1)
-        picks += firstn(lambda v: not (v.contracting or v.expanding), 1)
-    return tuple(picks[:3])
+        picks = firstn(lambda v: v[_CONTRACTING] and not v[_EXPANDING], 1)
+        picks += firstn(lambda v: v[_EXPANDING] and not v[_CONTRACTING], 1)
+        picks += firstn(lambda v: not (v[_CONTRACTING] or v[_EXPANDING]), 1)
+    return tuple(PointVerdict(*v) for v in picks)
 
 
 def classify(
@@ -241,6 +230,10 @@ def classify(
     check (see the module docstring for why pointwise brackets are not
     usable there). The involution check compares the first coordinates
     first: a miss there decides it, and only a hit scans the rest.
+
+    Each per-sample verdict is kept as a plain tuple of ``PointVerdict``'s
+    fields; only the witnesses (at most three, the first samples in
+    sampling order that show the verdict) become ``PointVerdict``s.
     """
     _check_length(n)
     if samples < 1:
@@ -248,7 +241,7 @@ def classify(
     alpha = _linear_alpha(spec)
     rng = random.Random(seed)
 
-    verdicts: list[PointVerdict] = []
+    verdicts: list[tuple] = []
     if alpha is not None:
         f = _linear_map(n, alpha)
         for p in _grid_points(samples, rng):

@@ -1,7 +1,9 @@
 """One SHA-256 over the exact results of the library's numeric paths.
 
 A change that means to leave every output unchanged bit for bit must
-print the same digest before and after, on every Python version. The
+print the same digest before and after, on every Python version;
+``tests/test_bitdump.py`` holds it to the digest in
+``tests/bitdump.sha256``, which a change that alters outputs rewrites. The
 records cover ``negate`` (n up to 10 000, the boundary snap and failing
 outputs included), ``iterate``, ``converge``, ``classify`` and
 ``fixed_point``: every float as ``float.hex()``, each ``Dist``'s values

@@ -14,6 +14,9 @@ stdlib's exponential variates, which the library's ``random_dist`` must
 match bit for bit. ``reference_converge`` is ``converge`` with its
 recurrence test written plainly, comparing whole distributions at every
 step; the library's must give the same outcomes bit for bit.
+``reference_classify`` is ``classify`` building a ``PointVerdict`` for
+every sample and picking witnesses from the whole list; the library's
+must give equal reports.
 """
 
 import math
@@ -32,6 +35,16 @@ from pdnegate import (
     max_abs_diff,
     negate,
 )
+from pdnegate.analysis import (
+    ClassificationReport,
+    PointVerdict,
+    Verdict,
+    _grid_points,
+    _linear_alpha,
+    _linear_map,
+    random_dist,
+)
+from pdnegate.simplex import _check_length
 
 
 def yager_point(p, n):
@@ -135,3 +148,112 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANC
             return Oscillating(period=2, witness=before)
         before, previous, last_gap = previous, current, gap
     return MaxIterReached(current)
+
+
+def _reference_point_verdict(p, np_, nnp, n, tol):
+    t = tol.tol_eq
+    lo_c, hi_c = min(p, np_), max(p, np_)
+    contracting = lo_c - t <= nnp <= hi_c + t
+    lo_e, hi_e = min(np_, nnp), max(np_, nnp)
+    expanding = lo_e - t <= p <= hi_e + t
+    involutive = abs(nnp - p) <= t
+    strict = abs(p - 1.0 / n) > t and lo_c + t < nnp < hi_c - t
+    return PointVerdict(
+        p=p,
+        np=np_,
+        nnp=nnp,
+        contracting=contracting,
+        strictly_contracting=strict,
+        expanding=expanding,
+        involutive=involutive,
+    )
+
+
+def _reference_dist_verdict(d0, d1, d2, returned, tol):
+    t = tol.tol_eq
+    return PointVerdict(
+        p=d0,
+        np=d1,
+        nnp=d2,
+        contracting=d2 <= max(d0, d1) + t,
+        strictly_contracting=False,
+        expanding=d0 <= max(d1, d2) + t,
+        involutive=returned,
+    )
+
+
+def _reference_aggregate(verdicts, n, tol):
+    if all(v.involutive for v in verdicts):
+        return Verdict.INVOLUTIVE
+    if all(v.contracting for v in verdicts):
+        eligible = [v for v in verdicts if abs(v.p - 1.0 / n) > tol.tol_eq]
+        if eligible and all(v.strictly_contracting for v in eligible):
+            return Verdict.STRICTLY_CONTRACTING
+        return Verdict.CONTRACTING
+    if all(v.expanding for v in verdicts):
+        return Verdict.EXPANDING
+    return Verdict.MIXED
+
+
+def _reference_witnesses(verdicts, verdict, n, tol):
+    def firstn(pred, count=3):
+        return [v for v in verdicts if pred(v)][:count]
+
+    if verdict is Verdict.INVOLUTIVE:
+        picks = firstn(lambda v: v.involutive)
+    elif verdict is Verdict.STRICTLY_CONTRACTING:
+        picks = firstn(lambda v: v.strictly_contracting)
+    elif verdict is Verdict.CONTRACTING:
+        picks = firstn(
+            lambda v: abs(v.p - 1.0 / n) > tol.tol_eq and not v.strictly_contracting, 1
+        )
+        picks += firstn(lambda v: v.contracting and v not in picks, 3 - len(picks))
+    elif verdict is Verdict.EXPANDING:
+        picks = firstn(lambda v: v.expanding and not v.involutive)
+    else:
+        picks = firstn(lambda v: v.contracting and not v.expanding, 1)
+        picks += firstn(lambda v: v.expanding and not v.contracting, 1)
+        picks += firstn(lambda v: not (v.contracting or v.expanding), 1)
+    return tuple(picks[:3])
+
+
+def reference_classify(spec, n, samples, seed, tol=DEFAULT_TOLERANCE):
+    """``classify`` with a ``PointVerdict`` built for every sample, and the
+    witnesses filtered from the whole list of them."""
+    _check_length(n)
+    if samples < 1:
+        raise DomainError(f"samples must be >= 1, got {samples}")
+    alpha = _linear_alpha(spec)
+    rng = random.Random(seed)
+
+    verdicts = []
+    if alpha is not None:
+        f = _linear_map(n, alpha)
+        for p in _grid_points(samples, rng):
+            np_ = f(p)
+            verdicts.append(_reference_point_verdict(p, np_, f(np_), n, tol))
+    else:
+        t = tol.tol_eq
+        for _ in range(samples):
+            start = random_dist(n, seed=rng.randrange(2**32))
+            once = negate(spec, start)
+            twice = negate(spec, once)
+            verdicts.append(
+                _reference_dist_verdict(
+                    linf_to_uniform(start),
+                    linf_to_uniform(once),
+                    linf_to_uniform(twice),
+                    abs(start.values[0] - twice.values[0]) <= t
+                    and max_abs_diff(start, twice) <= t,
+                    tol,
+                )
+            )
+
+    verdict = _reference_aggregate(verdicts, n, tol)
+    return ClassificationReport(
+        spec=spec,
+        n=n,
+        sample_count=samples,
+        verdict=verdict,
+        witnesses=_reference_witnesses(verdicts, verdict, n, tol),
+    )

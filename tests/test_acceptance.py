@@ -39,7 +39,7 @@ from pdnegate import (
     random_dist,
     uniform_dist,
 )
-from pdnegate.analysis import _point_verdict
+from pdnegate.analysis import PointVerdict, _point_verdict
 
 from oracles import involutive_point, linear_point, yager_point, yager_power_point
 
@@ -197,15 +197,15 @@ def test_criterion_7_strict_contraction():
                     if abs(p - 1.0 / n) <= 1e-9:
                         continue
                     q = linear_point(p, n, alpha)
-                    v = _point_verdict(
-                        p, q, linear_point(q, n, alpha), n, DEFAULT_TOLERANCE
+                    v = PointVerdict(
+                        *_point_verdict(p, q, linear_point(q, n, alpha), n, DEFAULT_TOLERANCE)
                     )
                     assert v.strictly_contracting, (alpha, n, p)
 
         for n in (2, 4, 7):
             report = classify(Uniform(), n, samples=100, seed=42)
             assert report.verdict is Verdict.CONTRACTING
-        v = _point_verdict(0.9, 0.25, 0.25, 4, DEFAULT_TOLERANCE)
+        v = PointVerdict(*_point_verdict(0.9, 0.25, 0.25, 4, DEFAULT_TOLERANCE))
         assert v.contracting and not v.strictly_contracting
 
 

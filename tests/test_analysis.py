@@ -47,7 +47,7 @@ def classify_point(f, p, n):
     """The bracket flags of ``p`` under the value map ``f``, applied
     twice, as ``classify`` judges its grid points."""
     np_ = f(p)
-    return analysis._point_verdict(p, np_, f(np_), n, DEFAULT_TOLERANCE)
+    return analysis.PointVerdict(*analysis._point_verdict(p, np_, f(np_), n, DEFAULT_TOLERANCE))
 
 
 class TestClassifyPoint:

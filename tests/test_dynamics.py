@@ -356,6 +356,26 @@ class TestConvergeTheorem:
         out = converge(spec, d, eps=eps)
         assert out == Oscillating(period=2, witness=d)
 
+    @pytest.mark.parametrize(
+        "n",
+        [
+            100,
+            1000,
+            pytest.param(
+                10_000,
+                marks=pytest.mark.xfail(
+                    strict=True,
+                    reason="the involutive kernel's n*mp - 1 cancellation (ROADMAP.md "
+                    "item 2) misses the vertex by 1.4e-12 at the second step, more "
+                    "than converge's match slack, so the cycle is found a step late",
+                ),
+            ),
+        ],
+    )
+    def test_involutive_vertex_cycle_witness_is_start(self, n):
+        start = point_dist(n, 1)
+        assert converge(Involutive(), start) == Oscillating(period=2, witness=start)
+
 
 # The worked involutive example, two steps, as orbit_csv writes it.
 ORBIT_CSV_GOLDEN = (
