@@ -124,15 +124,15 @@ def _linear_alpha(spec: NegatorSpec) -> float | None:
     Yager is alpha = 0 and uniform alpha = 1; ``negate``'s linear
     arithmetic computes their values bit for bit at those weights.
     """
-    match spec:
-        case Yager():
-            return 0.0
-        case Uniform():
-            return 1.0
-        case Linear(alpha=alpha):
-            return alpha
-        case Tsallis() | Involutive():
-            return None
+    family = type(spec)
+    if family is Yager:
+        return 0.0
+    if family is Uniform:
+        return 1.0
+    if family is Linear:
+        return spec.alpha
+    if family is Tsallis or family is Involutive:
+        return None
     raise TypeError(f"not a negator spec: {spec!r}")
 
 

@@ -30,7 +30,7 @@ from .errors import (
     RangeError,
     SumError,
 )
-from .simplex import Dist, _validated
+from .simplex import Dist, _accepted, _validated
 
 __all__ = [
     "Yager",
@@ -120,7 +120,8 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     validation raises ``DomainError``: the input was valid, so the
     negation left the simplex. A ``Dist`` of fewer than two values, which
     only direct construction can build, raises ``LengthError`` for every
-    family.
+    family. ``spec`` must be an instance of one of the five spec classes
+    itself: any other value, a subclass's instance too, raises ``TypeError``.
 
     Each family's arithmetic is written out here with its per-call
     constants hoisted, in the same operation order as the references
@@ -139,61 +140,57 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     # divide by a positive d or denom, an add of a), so its output's
     # extremes are its own expression at the input's max and min, equal to
     # min(out) and max(out) exactly. Tsallis scans its output: libm's pow
-    # is not guaranteed monotone.
-    match spec:
-        case Yager():
-            d = n - 1.0  # float / float is faster than float / int, same bits
-            out = [(1.0 - p) / d for p in vals]
-            extremes = ((1.0 - dist._hi) / d, (1.0 - dist._lo) / d)
-        case Uniform():
-            u = 1.0 / n
-            out = [u] * n
-            extremes = (u, u)
-        case Linear(alpha=alpha):
-            a, w, d = alpha / n, 1.0 - alpha, n - 1.0
-            out = [a + w * (1.0 - p) / d for p in vals]
-            extremes = (a + w * (1.0 - dist._hi) / d, a + w * (1.0 - dist._lo) / d)
-        case Tsallis(k=k):
-            if k < 0.0 and dist._lo <= 0.0:
-                raise DomainError(
-                    "tsallis with k < 0 requires strictly positive probabilities"
-                )
-            try:
-                powers = [p**k for p in vals]
-                denom = n - math.fsum(powers)
-            except OverflowError:
-                raise DomainError(
-                    f"tsallis:k={k!r} overflows p**k on this distribution"
-                ) from None
-            # Zero when every p**k rounds to 1, as for k = 1e-320.
-            if denom == 0.0:
-                raise DomainError(
-                    f"tsallis:k={k!r} gives denominator n - sum(p**k) = {denom!r}"
-                )
-            if denom < 0.0:  # k < 0: +0.0, not -0.0, where p**k rounds to 1
-                out = [(w - 1.0) / -denom for w in powers]
-            else:
-                out = [(1.0 - w) / denom for w in powers]
-            extremes = (min(out), max(out))
-        case Involutive():
-            lo, hi = dist._lo, dist._hi
-            mp = hi + lo
-            denom = n * mp - 1.0
-            # Positive for every Dist from make_dist; a hand-built one such
-            # as Dist((0.0, 0.0)) can fail it.
-            if denom <= 0.0:
-                raise DomainError(f"n*mp - 1 = {denom!r} is not positive")
-            out = [(mp - p) / denom for p in vals]
-            extremes = ((mp - hi) / denom, (mp - lo) / denom)
-        case _:
-            raise TypeError(f"not a negator spec: {spec!r}")
+    # is not guaranteed monotone. Exact-class tests are cheaper than class
+    # patterns.
+    family = type(spec)
+    if family is Yager:
+        d = n - 1.0  # float / float is faster than float / int, same bits
+        out = [(1.0 - p) / d for p in vals]
+        lo, hi = (1.0 - dist._hi) / d, (1.0 - dist._lo) / d
+    elif family is Uniform:
+        lo = hi = 1.0 / n
+        out = [lo] * n
+    elif family is Linear:
+        alpha = spec.alpha
+        a, w, d = alpha / n, 1.0 - alpha, n - 1.0
+        out = [a + w * (1.0 - p) / d for p in vals]
+        lo, hi = a + w * (1.0 - dist._hi) / d, a + w * (1.0 - dist._lo) / d
+    elif family is Tsallis:
+        k = spec.k
+        if k < 0.0 and dist._lo <= 0.0:
+            raise DomainError("tsallis with k < 0 requires strictly positive probabilities")
+        try:
+            powers = [p**k for p in vals]
+            denom = n - math.fsum(powers)
+        except OverflowError:
+            raise DomainError(f"tsallis:k={k!r} overflows p**k on this distribution") from None
+        # Zero when every p**k rounds to 1, as for k = 1e-320.
+        if denom == 0.0:
+            raise DomainError(f"tsallis:k={k!r} gives denominator n - sum(p**k) = {denom!r}")
+        if denom < 0.0:  # k < 0: +0.0, not -0.0, where p**k rounds to 1
+            out = [(w - 1.0) / -denom for w in powers]
+        else:
+            out = [(1.0 - w) / denom for w in powers]
+        lo, hi = min(out), max(out)
+    elif family is Involutive:
+        lo, hi = dist._lo, dist._hi
+        mp = hi + lo
+        denom = n * mp - 1.0
+        # Positive for every Dist from make_dist; a hand-built one such
+        # as Dist((0.0, 0.0)) can fail it.
+        if denom <= 0.0:
+            raise DomainError(f"n*mp - 1 = {denom!r} is not positive")
+        out = [(mp - p) / denom for p in vals]
+        lo, hi = (mp - hi) / denom, (mp - lo) / denom
+    else:
+        raise TypeError(f"not a negator spec: {spec!r}")
     # Snapping cannot change a list that is already inside [0, 1], so only
     # extremes outside it (or NaN) snap the list, which is then scanned
     # afresh. Every value is a float already, so make_dist's coercion is
     # skipped.
     try:
-        if 0.0 <= extremes[0] and extremes[1] <= 1.0:
-            return _validated(tuple(out), extremes=extremes)
+        if 0.0 <= lo and hi <= 1.0:
+            return _accepted(tuple(out), lo, hi)
         return _validated(_snap_unit(out))
     except (RangeError, SumError) as exc:
         raise DomainError(f"negated output fails validation: {exc}") from exc

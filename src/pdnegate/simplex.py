@@ -131,19 +131,20 @@ def _recorded(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
     return dist
 
 
-def _validated(
-    vals: tuple[float, ...],
-    tol: Tolerance = DEFAULT_TOLERANCE,
-    extremes: tuple[float, float] | None = None,
-) -> Dist:
+def _validated(vals: tuple[float, ...], tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
     """:func:`make_dist` on a tuple that holds only floats already, as the
-    negators' and samplers' outputs do: the same checks, without coercion.
-
-    ``extremes``, when given, must equal ``(min(vals), max(vals))``;
-    ``negate`` derives them from its input's instead of scanning."""
+    negators' and samplers' outputs do: the same checks, without coercion."""
     if len(vals) < 2:
         raise LengthError(f"need at least 2 values, got {len(vals)}")
-    lo, hi = (min(vals), max(vals)) if extremes is None else extremes
+    return _accepted(vals, min(vals), max(vals), tol)
+
+
+def _accepted(
+    vals: tuple[float, ...], lo: float, hi: float, tol: Tolerance = DEFAULT_TOLERANCE
+) -> Dist:
+    """:func:`_validated`'s range and sum tests, given ``lo`` and ``hi`` equal
+    to ``min(vals)`` and ``max(vals)``: ``negate`` derives them from its
+    input's instead of scanning."""
     # Fast path. min and max skip a NaN that is not first, but such a NaN
     # makes the sum NaN, which fails both sum tests as written.
     if 0.0 <= lo and hi <= 1.0:

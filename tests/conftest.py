@@ -67,6 +67,23 @@ def all_specs(include_negative_k=False):
     )
 
 
+class YagerSubclass(Yager):
+    pass
+
+
+class TsallisSubclass(Tsallis):
+    pass
+
+
+# Values that negate and classify reject with TypeError: they accept only
+# instances of the five spec classes themselves, not of subclasses.
+NON_SPECS = pytest.mark.parametrize(
+    "non_spec",
+    ["yager", YagerSubclass(), TsallisSubclass(2.0)],
+    ids=["str", "yager_subclass", "tsallis_subclass"],
+)
+
+
 # One spec per family, with both signs of the tsallis exponent.
 WIDE_SPECS = [
     Yager(),

@@ -31,7 +31,7 @@ from pdnegate import (
 from pdnegate import analysis
 from pdnegate.cli import run
 
-from conftest import ALPHA_GRID, dists
+from conftest import ALPHA_GRID, NON_SPECS, dists
 from oracles import (
     expovariate_random_dist,
     involutive_point,
@@ -169,13 +169,14 @@ class TestClassify:
         for w in r.witnesses:
             assert w.strictly_contracting
 
-    def test_parameter_domains(self):
+    @NON_SPECS
+    def test_parameter_domains(self, non_spec):
         with pytest.raises(LengthError):
             classify(Yager(), 1, 10, seed=0)
         with pytest.raises(DomainError):
             classify(Yager(), 3, 0, seed=0)
-        with pytest.raises(TypeError):
-            classify("yager", 3, 10, seed=0)  # type: ignore[arg-type]
+        with pytest.raises(TypeError, match="^not a negator spec: "):
+            classify(non_spec, 3, 10, seed=0)
 
     @pytest.mark.parametrize("n", [2, 5, 100])
     @pytest.mark.parametrize(

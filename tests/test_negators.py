@@ -32,7 +32,7 @@ from pdnegate import (
 
 from pdnegate.negators import _SPEC_SYNTAX
 
-from conftest import ALPHA_GRID, all_specs, dists, positive_dists
+from conftest import ALPHA_GRID, NON_SPECS, all_specs, dists, positive_dists
 from oracles import involutive_point, linear_point, negation_axioms_check, yager_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
@@ -158,9 +158,10 @@ class TestNegateExamples:
         assert q.values == (0.0, 1.0)
         assert all(math.copysign(1.0, v) == 1.0 for v in q)
 
-    def test_non_spec_rejected(self):
-        with pytest.raises(TypeError):
-            negate("yager", EXAMPLE)  # type: ignore[arg-type]
+    @NON_SPECS
+    def test_non_spec_rejected(self, non_spec):
+        with pytest.raises(TypeError, match="^not a negator spec: "):
+            negate(non_spec, EXAMPLE)
 
 
 def _snapped(v):
