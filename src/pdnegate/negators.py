@@ -7,13 +7,16 @@ implemented, selected by a tagged spec value:
     yager                (1 - p) / (n - 1)
     uniform              1 / n
     linear (alpha)       alpha/n + (1 - alpha) * (1 - p)/(n - 1)
-    tsallis (k != 0)     (1 - p_i**k) / (n - sum_j p_j**k)
-    involutive           (mp - p_i) / (n*mp - 1),  mp = max(P) + min(P)
+    tsallis (k != 0)     (1 - p_i**k) / sum_j (1 - p_j**k)
+    involutive           (mp - p_i) / sum_j (mp - p_j),  mp = max(P) + min(P)
 
 The first three read only the value being transformed; the linear family
 is their common closed form (alpha=0 gives yager, alpha=1 gives uniform).
-The last two read the whole distribution. The involutive family undoes
-itself: negating twice returns the original distribution.
+The last two read the whole distribution and divide non-negative
+numerators by their sum, so every output lies in [0, 1]: tsallis takes
+p**k - 1 for k < 0, and -expm1(k*log(p)) for 1 - p**k when |k| < 2**-4.
+The involutive family undoes itself: negating twice returns the original
+distribution.
 
 Every family fixes the value 1/n and therefore the uniform distribution.
 """
@@ -30,7 +33,7 @@ from .errors import (
     RangeError,
     SumError,
 )
-from .simplex import Dist, _accepted, _validated
+from .simplex import Dist, _accepted
 
 __all__ = [
     "Yager",
@@ -73,13 +76,13 @@ class Linear:
 
 @dataclass(frozen=True)
 class Tsallis:
-    """p_i -> (1 - p_i**k) / (n - sum_j p_j**k) with a finite exponent
+    """p_i -> (1 - p_i**k) / sum_j (1 - p_j**k) with a finite exponent
     ``k != 0``.
 
-    Negative k requires strictly positive probabilities. An exponent so
-    close to 0 that every p_i**k rounds to 1 leaves the denominator zero,
-    and a negative one can make some p_i**k overflow; ``negate`` raises
-    ``DomainError`` for both.
+    Negative k requires strictly positive probabilities. A negative
+    exponent can make some p_i**k or their sum overflow, and one so close
+    to 0 that the numerators are subnormal, such as 1e-320, leaves them
+    too few bits; ``negate`` raises ``DomainError`` for both.
     """
 
     k: float
@@ -91,21 +94,16 @@ class Tsallis:
 
 @dataclass(frozen=True)
 class Involutive:
-    """p_i -> (mp - p_i)/(n*mp - 1) with mp = max(P) + min(P); self-inverse."""
+    """p_i -> (mp - p_i) / sum_j (mp - p_j), mp = max(P) + min(P); self-inverse."""
 
 
 NegatorSpec = Yager | Uniform | Linear | Tsallis | Involutive
 
 
-# Inputs whose sum is an ulp off 1 can push an exact-arithmetic boundary
-# output a few ulps past it, e.g. (0, 0, 0, 1) under the involutive family.
-_SNAP = 1e-12
-
-
-def _snap_unit(values: list[float]) -> tuple[float, ...]:
-    return tuple([
-        0.0 if -_SNAP <= v < 0.0 else 1.0 if 1.0 < v <= 1.0 + _SNAP else v for v in values
-    ])
+# The smallest |k| whose tsallis numerators are computed with pow: 1 - p**k
+# loses about 1e-16/|k| to cancellation, which from 2**-4 up keeps every
+# output within the test suite's bound of 2e-15 of its exact value.
+_POW_MIN_K = 2**-4
 
 
 def negate(spec: NegatorSpec, dist: Dist) -> Dist:
@@ -113,15 +111,13 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
 
     The output is routed through the validating constructor rather than
     renormalized, so the sum-to-one guarantee is checked, not imposed.
-    Roundoff excursions past 0 or 1 of at most 1e-12 are snapped to the
-    boundary first: when the output's min or max lies outside [0, 1], the
-    snapped output is validated, otherwise the output as computed, once.
-    A larger excursion is a genuine range violation. An output that fails
-    validation raises ``DomainError``: the input was valid, so the
-    negation left the simplex. A ``Dist`` of fewer than two values, which
-    only direct construction can build, raises ``LengthError`` for every
-    family. ``spec`` must be an instance of one of the five spec classes
-    itself: any other value, a subclass's instance too, raises ``TypeError``.
+    Every family's output lies in [0, 1] by construction, and no value is
+    moved onto a boundary. An output that fails validation raises
+    ``DomainError``: the input was valid, so the negation left the
+    simplex. A ``Dist`` of fewer than two values, which only direct
+    construction can build, raises ``LengthError`` for every family.
+    ``spec`` must be an instance of one of the five spec classes itself:
+    any other value, a subclass's instance too, raises ``TypeError``.
 
     Each family's arithmetic is written out here with its per-call
     constants hoisted, in the same operation order as the references
@@ -136,8 +132,8 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     if n < 2:
         raise LengthError(f"need at least 2 values, got {n}")
     # Every family but tsallis reverses order through ops that are
-    # monotone under round-to-nearest (1 - p, a multiply by w >= 0, a
-    # divide by a positive d or denom, an add of a), so its output's
+    # monotone under round-to-nearest (1 - p or mp - p, a multiply by
+    # w >= 0, a divide by a positive d or total, an add of a), so its output's
     # extremes are its own expression at the input's max and min, equal to
     # min(out) and max(out) exactly. Tsallis scans its output: libm's pow
     # is not guaranteed monotone. Exact-class tests are cheaper than class
@@ -159,39 +155,40 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
         k = spec.k
         if k < 0.0 and dist._lo <= 0.0:
             raise DomainError("tsallis with k < 0 requires strictly positive probabilities")
+        # Numerators 1 - p**k, or p**k - 1 for k < 0, so that each is >= 0
+        # and +0.0 where p**k rounds to 1. Below |k| = _POW_MIN_K they
+        # cancel, so they are read as -expm1(k*log(p)), with 1.0 for p = 0.
         try:
-            powers = [p**k for p in vals]
-            denom = n - math.fsum(powers)
+            if abs(k) >= _POW_MIN_K:
+                nums = [1.0 - p**k for p in vals] if k > 0.0 else [p**k - 1.0 for p in vals]
+            elif k > 0.0:
+                nums = [0.0 - math.expm1(k * math.log(p)) if p else 1.0 for p in vals]
+            else:
+                nums = [0.0 + math.expm1(k * math.log(p)) for p in vals]
+            total = math.fsum(nums)
         except OverflowError:
             raise DomainError(f"tsallis:k={k!r} overflows p**k on this distribution") from None
-        # Zero when every p**k rounds to 1, as for k = 1e-320.
-        if denom == 0.0:
-            raise DomainError(f"tsallis:k={k!r} gives denominator n - sum(p**k) = {denom!r}")
-        if denom < 0.0:  # k < 0: +0.0, not -0.0, where p**k rounds to 1
-            out = [(w - 1.0) / -denom for w in powers]
-        else:
-            out = [(1.0 - w) / denom for w in powers]
+        # Below the smallest normal float the numerators keep only a few
+        # bits, as for k = 1e-320.
+        if not total >= 2**-1022:
+            raise DomainError(f"tsallis:k={k!r} gives numerators that sum to {total!r}")
+        out = [x / total for x in nums]
         lo, hi = min(out), max(out)
     elif family is Involutive:
-        lo, hi = dist._lo, dist._hi
-        mp = hi + lo
-        denom = n * mp - 1.0
+        mp = dist._hi + dist._lo
+        nums = [mp - p for p in vals]
+        total = math.fsum(nums)
         # Positive for every Dist from make_dist; a hand-built one such
         # as Dist((0.0, 0.0)) can fail it.
-        if denom <= 0.0:
-            raise DomainError(f"n*mp - 1 = {denom!r} is not positive")
-        out = [(mp - p) / denom for p in vals]
-        lo, hi = (mp - hi) / denom, (mp - lo) / denom
+        if not total > 0.0:
+            raise DomainError(f"sum of mp - p_j = {total!r} is not positive")
+        out = [x / total for x in nums]
+        lo, hi = (mp - dist._hi) / total, (mp - dist._lo) / total
     else:
         raise TypeError(f"not a negator spec: {spec!r}")
-    # Snapping cannot change a list that is already inside [0, 1], so only
-    # extremes outside it (or NaN) snap the list, which is then scanned
-    # afresh. Every value is a float already, so make_dist's coercion is
-    # skipped.
+    # Every value is a float already, so make_dist's coercion is skipped.
     try:
-        if 0.0 <= lo and hi <= 1.0:
-            return _accepted(tuple(out), lo, hi)
-        return _validated(_snap_unit(out))
+        return _accepted(tuple(out), lo, hi)
     except (RangeError, SumError) as exc:
         raise DomainError(f"negated output fails validation: {exc}") from exc
 

@@ -4,8 +4,8 @@ A change that means to leave every output unchanged bit for bit must
 print the same digest before and after, on every Python version;
 ``tests/test_bitdump.py`` holds it to the digest in
 ``tests/bitdump.sha256``, which a change that alters outputs rewrites. The
-records cover ``negate`` (n up to 10 000, the boundary snap and failing
-outputs included), ``iterate``, ``converge``, ``classify`` and
+records cover ``negate`` (n up to 10 000, outputs on the [0, 1] boundary
+and failing ones included), ``iterate``, ``converge``, ``classify`` and
 ``fixed_point``: every float as ``float.hex()``, each ``Dist``'s values
 and its recorded min and max, and each error's type and message.
 
@@ -63,9 +63,9 @@ SPECS = [
 
 
 def _near_complement(n, ulps):
-    """(0, m, ..., m) with m ``ulps`` ulps below 1/(n - 1): the involutive
-    output overshoots 1, within the snap at one ulp and past it at two
-    for n = 10 000."""
+    """(0, m, ..., m) with m ``ulps`` ulps below 1/(n - 1), whose sum is
+    a few ulps off 1: the involutive output is a vertex, whose 1 the
+    ``n*mp - 1`` reading of the denominator overshoots."""
     m = 1.0 / (n - 1)
     for _ in range(ulps):
         m = math.nextafter(m, 0.0)

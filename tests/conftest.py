@@ -101,8 +101,8 @@ WIDE_SPECS = [
 def wide_inputs():
     """Fixed inputs at n = 10 000: flat-Dirichlet, flat-Dirichlet with about
     10 % exact zeros, a point mass, and the near-complement of a point mass
-    (0 once, one ulp below 1/(n-1) elsewhere), on which the involutive
-    output overshoots 1 and the boundary snap fires."""
+    (0 once, one ulp below 1/(n-1) elsewhere), whose involutive output is
+    a vertex."""
     n = 10_000
     rng = random.Random(n)
     weights = [0.0 if rng.random() < 0.1 else rng.expovariate(1.0) for _ in range(n)]

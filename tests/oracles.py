@@ -7,6 +7,8 @@ cannot share a fault with ``linear_point`` or ``linear_power_point``.
 ``linear_point`` and ``involutive_point`` are the linear and involutive
 families' values at one probability, in the kernel's operation order, so
 ``negate``'s outputs must equal theirs bit for bit.
+``exact_negate`` is every family's output computed exactly, in rational
+or 60-digit decimal arithmetic, for accuracy bounds on ``negate``.
 ``negation_axioms_check`` tests the defining order structure of a
 negation pairwise, with no reference to any family's formula.
 ``expovariate_random_dist`` is the flat-Dirichlet sampler written with the
@@ -19,18 +21,28 @@ every sample and picking witnesses from the whole list; the library's
 must give equal reports.
 """
 
+import decimal
+import functools
 import math
 import random
+import sys
+from decimal import Decimal
+from fractions import Fraction
 from typing import NamedTuple
 
 from pdnegate import (
     DEFAULT_TOLERANCE,
     Converged,
     DomainError,
+    Involutive,
     LeftDomain,
+    Linear,
     LengthMismatchError,
     MaxIterReached,
     Oscillating,
+    Tsallis,
+    Uniform,
+    Yager,
     linf_to_uniform,
     max_abs_diff,
     negate,
@@ -64,11 +76,71 @@ def linear_point(p, n, alpha):
     return alpha / n + (1.0 - alpha) * (1.0 - p) / (n - 1)
 
 
+@functools.lru_cache(maxsize=8)
+def _involutive_constants(values):
+    mp = max(values) + min(values)
+    return mp, math.fsum([mp - q for q in values])
+
+
 def involutive_point(p, dist):
     """Value of the involutive family at ``p``, a value of ``dist``:
-    ``(mp - p) / (n*mp - 1)`` with ``mp = max(dist) + min(dist)``."""
-    mp = max(dist.values) + min(dist.values)
-    return (mp - p) / (len(dist.values) * mp - 1.0)
+    ``(mp - p) / sum_j (mp - p_j)`` with ``mp = max(dist) + min(dist)``.
+    Both constants are cached per distribution, so a whole one costs one
+    pass over it."""
+    mp, total = _involutive_constants(dist.values)
+    return (mp - p) / total
+
+
+def _decimal_expm1(x):
+    """``exp(x) - 1`` to the context's precision, tiny ``x`` included."""
+    if abs(x) >= 1:
+        return x.exp() - 1
+    term = total = x
+    j = 1
+    while abs(term) > abs(total) * Decimal(10) ** -(decimal.getcontext().prec + 3):
+        j += 1
+        term = term * x / j
+        total += term
+    return total
+
+
+def exact_negate(spec, dist):
+    """``negate(spec, dist)``'s values as exact ``Fraction``s, from the
+    family's formula: in rational arithmetic for yager, uniform, linear and
+    involutive, and in 60-digit ``decimal`` for tsallis. The whole-distribution
+    families divide by the sum of their numerators: ``n - sum(p**k)`` for
+    tsallis, and for the involutive family ``n*mp - sum(p)``, which is
+    ``n*mp - 1`` only when the values sum to exactly 1. ``None`` where the
+    exact values cannot be a float output: tsallis with k < 0 on a zero
+    entry, or numerators that sum above the largest float or below the
+    smallest normal one."""
+    ps = [Fraction(p) for p in dist.values]
+    n = len(ps)
+    match spec:
+        case Yager():
+            return tuple((1 - p) / (n - 1) for p in ps)
+        case Uniform():
+            return (Fraction(1, n),) * n
+        case Linear(alpha=alpha):
+            a = Fraction(alpha)
+            return tuple(a / n + (1 - a) * (1 - p) / (n - 1) for p in ps)
+        case Involutive():
+            mp = max(ps) + min(ps)
+            nums = [mp - p for p in ps]
+        case Tsallis(k=k):
+            if k < 0.0 and min(ps) == 0:
+                return None
+            with decimal.localcontext(decimal.Context(prec=60)):
+                nums = [
+                    Fraction(-_decimal_expm1(Decimal(k) * Decimal(p).ln()) if p else 1)
+                    for p in dist.values
+                ]
+            if k < 0.0:
+                nums = [-x for x in nums]
+    total = sum(nums)
+    if not sys.float_info.min <= total <= sys.float_info.max:
+        return None
+    return tuple(x / total for x in nums)
 
 
 def expovariate_random_dist(n, seed):

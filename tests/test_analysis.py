@@ -189,7 +189,9 @@ class TestClassify:
     # Verdict and witnesses of classify(spec, n, samples=40, seed=2021),
     # each witness as (p, np, nnp) in hex and its four flags (contracting,
     # strictly_contracting, expanding, involutive); recorded from the
-    # implementation that scanned every coordinate for the involution test.
+    # implementation that scanned every coordinate for the involution test,
+    # then, for tsallis k = -1 and the involutive family, rerecorded when
+    # their numerators came to be divided by their own fsum (last bits only).
     GOLDEN_DIST_LEVEL = {
         (Tsallis(2.0), 3): ("CONTRACTING", [
             ("0x1.af77600d936ecp-4", "0x1.d27993bd32cb0p-6", "0x1.c91f1d857a780p-8", "1000"),
@@ -212,7 +214,7 @@ class TestClassify:
             ("0x1.29860ce69ce67p-5", "0x1.688cdac8adcc8p-10", "0x1.4afcb7e816a80p-14", "1000"),
         ]),
         (Tsallis(-1.0), 3): ("EXPANDING", [
-            ("0x1.af77600d936ecp-4", "0x1.149d7de80c821p-3", "0x1.e3ff4bdb3b672p-3", "0010"),
+            ("0x1.af77600d936ecp-4", "0x1.149d7de80c821p-3", "0x1.e3ff4bdb3b66ep-3", "0010"),
             ("0x1.1f4ce40745a6ap-2", "0x1.16688bd6015cap-1", "0x1.9ddcdd4652bb3p-2", "1010"),
             ("0x1.b11c8fa42be08p-5", "0x1.2dd87362ef444p-4", "0x1.ee67aeb72858cp-4", "0010"),
         ]),
@@ -222,14 +224,14 @@ class TestClassify:
             ("0x1.29860ce69ce67p-5", "0x1.c7342739e0c3dp-3", "0x1.357e578dfd9fap-5", "1010"),
         ]),
         (Involutive(), 3): ("INVOLUTIVE", [
-            ("0x1.af77600d936ecp-4", "0x1.8c41b2c0dbe5ep-4", "0x1.af77600d936e8p-4", "1011"),
+            ("0x1.af77600d936ecp-4", "0x1.8c41b2c0dbe60p-4", "0x1.af77600d936ecp-4", "1011"),
             ("0x1.1f4ce40745a6ap-2", "0x1.31603c01b11ebp-2", "0x1.1f4ce40745a6bp-2", "1011"),
             ("0x1.b11c8fa42be08p-5", "0x1.a26dabbda7330p-5", "0x1.b11c8fa42be00p-5", "1011"),
         ]),
         (Involutive(), 100): ("INVOLUTIVE", [
-            ("0x1.f92dad82268a9p-5", "0x1.474d29b58d67bp-7", "0x1.f92dad82268afp-5", "1011"),
-            ("0x1.1de6014c2e024p-4", "0x1.474da10681d30p-7", "0x1.1de6014c2e028p-4", "1011"),
-            ("0x1.29860ce69ce67p-5", "0x1.46e0199d5fd70p-7", "0x1.29860ce69ce69p-5", "1011"),
+            ("0x1.f92dad82268a9p-5", "0x1.474d29b58d67bp-7", "0x1.f92dad82268adp-5", "1011"),
+            ("0x1.1de6014c2e024p-4", "0x1.474da10681d30p-7", "0x1.1de6014c2e02ap-4", "1011"),
+            ("0x1.29860ce69ce67p-5", "0x1.46e0199d5fd70p-7", "0x1.29860ce69ce67p-5", "1011"),
         ]),
     }
 

@@ -59,13 +59,15 @@ def test_matches_reference(spec, n):
             _check(spec, n, samples, seed)
 
 
-# Tsallis(1e-15)'s outputs fail validation today (ROADMAP.md item 2), so
-# its first negate raises; samples = 0 and n = 1 are rejected up front.
+# Tsallis(1e-15) reads its numerators through expm1 and must match too;
+# Tsallis(1e-320)'s subnormal numerators make its first negate raise;
+# samples = 0 and n = 1 are rejected up front.
 @pytest.mark.parametrize(
     "args",
     [
         (Tsallis(1e-15), 3, 5, 0),
         (Tsallis(1e-15), 100, 40, 7),
+        (Tsallis(1e-320), 3, 5, 0),
         (Yager(), 5, 0, 0),
         (Involutive(), 5, 0, 0),
         (Yager(), 1, 5, 0),

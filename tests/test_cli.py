@@ -5,16 +5,20 @@ import io
 import json
 import math
 import shlex
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pdnegate import Tsallis, make_dist
 from pdnegate.cli import run
 from pdnegate.negators import _SPEC_SYNTAX
 
+from oracles import exact_negate
 from test_dynamics import ORBIT_CSV_GOLDEN
+from test_negators import EXACT_BOUND
 
 
 def invoke(capsys, *argv):
@@ -24,6 +28,17 @@ def invoke(capsys, *argv):
 
 
 class TestNegateCommand:
+    @pytest.mark.parametrize("k", ["1e-15", "-1e-15", "1e-8"])
+    def test_tiny_tsallis_k(self, capsys, k):
+        code, out, err = invoke(
+            capsys, "negate", "--negator", f"tsallis:k={k}", "--dist", "0.2,0.3,0.5"
+        )
+        assert (code, err) == (0, "")
+        exact = exact_negate(Tsallis(float(k)), make_dist([0.2, 0.3, 0.5]))
+        got = json.loads(out)
+        assert len(got) == 3
+        assert max(abs(Fraction(a) - b) for a, b in zip(got, exact)) <= EXACT_BOUND
+
     def test_worked_example(self, capsys):
         code, out, err = invoke(
             capsys, "negate", "--negator", "involutive",
@@ -377,12 +392,13 @@ class TestExitCodes:
         assert code == 0
 
     def test_failed_negation_is_domain_error(self, capsys):
+        # A subnormal k leaves subnormal numerators, too few bits for an output.
         code, out, err = invoke(
-            capsys, "negate", "--negator", "tsallis:k=1e-15", "--dist", "0.2,0.3,0.5"
+            capsys, "negate", "--negator", "tsallis:k=1e-320", "--dist", "0.2,0.3,0.5"
         )
         assert code == 2
         assert out == ""
-        assert "values sum to 0.96875" in err
+        assert "numerators that sum to 3.5" in err
 
     def test_tsallis_negative_k_on_zero_entry(self, capsys):
         code, _, _ = invoke(

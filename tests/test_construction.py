@@ -40,10 +40,10 @@ def fast_dists():
     yield "random_dist", random_dist(8, seed=1)
     for spec in SPECS:
         yield f"negate {spec!r}", negate(spec, START)
-    # With m an ulp below 1/2 the involutive output overshoots 1 and is
-    # snapped, then validated again without the derived extremes.
+    # With m an ulp below 1/2 the involutive output is the vertex (1, 0, 0),
+    # whose extremes negate derives from the input's.
     m = math.nextafter(0.5, 0.0)
-    yield "negate snapped", negate(Involutive(), make_dist([0.0, m, m]))
+    yield "negate to a vertex", negate(Involutive(), make_dist([0.0, m, m]))
 
 
 def fast_steps():

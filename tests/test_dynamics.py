@@ -356,22 +356,7 @@ class TestConvergeTheorem:
         out = converge(spec, d, eps=eps)
         assert out == Oscillating(period=2, witness=d)
 
-    @pytest.mark.parametrize(
-        "n",
-        [
-            100,
-            1000,
-            pytest.param(
-                10_000,
-                marks=pytest.mark.xfail(
-                    strict=True,
-                    reason="the involutive kernel's n*mp - 1 cancellation (ROADMAP.md "
-                    "item 2) misses the vertex by 1.4e-12 at the second step, more "
-                    "than converge's match slack, so the cycle is found a step late",
-                ),
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("n", [100, 1000, 10_000])
     def test_involutive_vertex_cycle_witness_is_start(self, n):
         start = point_dist(n, 1)
         assert converge(Involutive(), start) == Oscillating(period=2, witness=start)
@@ -385,9 +370,8 @@ ORBIT_CSV_GOLDEN = (
     "1,0.30000000000000004,0.20000000000000001,0.25,"
     "0.10000000000000003,0.15000000000000002,0.77500000000000013,"
     "0.10000000000000003\n"
-    "2,0.099999999999999992,0.19999999999999998,0.15000000000000002,"
-    "0.29999999999999993,0.24999999999999994,0.77499999999999991,"
-    "0.10000000000000002\n"
+    "2,0.10000000000000001,0.20000000000000001,0.15000000000000005,"
+    "0.29999999999999999,0.25,0.77500000000000002,0.10000000000000001\n"
 )
 
 

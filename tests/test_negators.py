@@ -16,11 +16,13 @@ from pdnegate import (
     LeftDomain,
     NegatorSyntaxError,
     RangeError,
+    Tolerance,
     Tsallis,
     Uniform,
     Yager,
     converge,
     format_negator,
+    iterate,
     make_dist,
     max_abs_diff,
     negate,
@@ -33,9 +35,32 @@ from pdnegate import (
 from pdnegate.negators import _SPEC_SYNTAX
 
 from conftest import ALPHA_GRID, NON_SPECS, all_specs, dists, positive_dists
-from oracles import involutive_point, linear_point, negation_axioms_check, yager_point
+from oracles import (
+    exact_negate,
+    involutive_point,
+    linear_point,
+    negation_axioms_check,
+    yager_point,
+)
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
+
+# Every family's outputs lie within this of their exact values. The
+# largest errors are tsallis's pow numerators at |k| = 2**-4, about 1.3e-15;
+# elsewhere they are a few ulps of 1, about 2e-16.
+EXACT_BOUND = 2e-15
+
+
+def assert_near_exact(spec, d):
+    """``negate(spec, d)`` within ``EXACT_BOUND`` of ``exact_negate``, or a
+    ``DomainError`` exactly where the exact values cannot be an output."""
+    exact = exact_negate(spec, d)
+    if exact is None:
+        with pytest.raises(DomainError):
+            negate(spec, d)
+        return
+    q = negate(spec, d)
+    assert max(abs(Fraction(v) - x) for v, x in zip(q, exact)) <= EXACT_BOUND
 
 
 class TestSpecValidation:
@@ -60,10 +85,14 @@ class TestSpecValidation:
             Tsallis(float("-inf"))
 
     def test_tsallis_vanishing_denominator(self):
-        # Every p**k rounds to 1, so n - sum(p**k) is exactly 0.
-        for k in (1e-320, -1e-300):
-            with pytest.raises(DomainError):
-                negate(Tsallis(k), make_dist([0.2, 0.3, 0.5]))
+        # With k subnormal the numerators, and so their sum, are subnormal:
+        # a few bits each, never an output.
+        d = make_dist([0.2, 0.3, 0.5])
+        for k in (1e-320, -1e-320):
+            with pytest.raises(DomainError, match="numerators that sum to"):
+                negate(Tsallis(k), d)
+        # Every p**k rounds to 1, yet the numerators are normal floats.
+        assert_near_exact(Tsallis(-1e-300), d)
 
     @pytest.mark.parametrize(
         "values",
@@ -100,27 +129,71 @@ def _near_complement(n, ulps):
     return make_dist([0.0] + [m] * (n - 1))
 
 
+# |k| on both sides of the pow/expm1 threshold 2**-4 in negate's tsallis
+# kernel, with both signs.
+_SMALL_KS = [
+    s * k
+    for k in (1e-15, 1e-10, 1e-8, 1e-4, 1e-2, 2**-5, math.nextafter(2**-4, 0.0), 2**-4, 0.1)
+    for s in (1.0, -1.0)
+]
+
+
+class TestExactOracle:
+    """Every family's outputs against their exact values, computed by
+    ``oracles.exact_negate`` in rational or 60-digit decimal arithmetic."""
+
+    @given(all_specs(include_negative_k=True), dists())
+    # Tiny k and the n = 10 000 near-complement, which the n - sum(p**k)
+    # and n*mp - 1 denominators pushed out of the simplex.
+    @example(Tsallis(1e-15), make_dist([0.2, 0.3, 0.5]))
+    @example(Tsallis(-1e-8), make_dist([0.2, 0.3, 0.5]))
+    @example(Involutive(), _near_complement(10_000, 2))
+    @settings(max_examples=300, deadline=None)
+    def test_every_family(self, spec, d):
+        assert_near_exact(spec, d)
+
+    @pytest.mark.parametrize("k", _SMALL_KS, ids=repr)
+    @given(d=dists())
+    @settings(max_examples=40)
+    def test_tsallis_small_k(self, k, d):
+        assert_near_exact(Tsallis(k), d)
+
+
 class TestFailedNegation:
-    """A valid input whose negation fails validation, even after the
-    boundary snap, is a domain error, not malformed input."""
+    """An input whose negation fails validation is a domain error, not
+    malformed input. Tsallis at tiny k and the involutive family next to a
+    vertex, each a non-negative numerator over the numerators' sum, stay
+    inside [0, 1] and sum to 1."""
 
     def test_tsallis_tiny_k_sum(self):
-        with pytest.raises(DomainError, match="values sum to 0.96875"):
-            negate(Tsallis(1e-15), make_dist([0.2, 0.3, 0.5]))
+        d = make_dist([0.2, 0.3, 0.5])
+        for k in (1e-8, -1e-8, 1e-10, 1e-15, -1e-15):
+            assert abs(math.fsum(negate(Tsallis(k), d)) - 1.0) <= 1e-15
+            assert_near_exact(Tsallis(k), d)
 
-    def test_involutive_overshoot_past_snap(self):
-        # Two ulps below 1/9999 the output overshoots 1 by 3e-12; one ulp
-        # below, by 8e-13, which the snap repairs.
-        with pytest.raises(DomainError, match=r"outside \[0, 1\]"):
-            negate(Involutive(), _near_complement(10_000, 2))
-        assert max(negate(Involutive(), _near_complement(10_000, 1))) == 1.0
+    def test_sum_outside_default_tolerance(self):
+        # Accepted under a looser tolerance, its sum is 5e-7 off 1, and so
+        # is the yager output's, which negate validates at the default.
+        d = make_dist([0.5, 0.5 + 5e-7], Tolerance(tol_simplex=1e-6))
+        with pytest.raises(DomainError, match="values sum to"):
+            negate(Yager(), d)
+
+    def test_involutive_near_complement_is_vertex(self):
+        # m one and two ulps below 1/9999: sum(mp - p_j) is exactly the
+        # numerator of the zero entry, which maps to exactly 1.
+        for ulps in (1, 2):
+            assert negate(Involutive(), _near_complement(10_000, ulps)).values == (
+                (1.0,) + (0.0,) * 9999
+            )
 
     def test_converge_ends_in_left_domain(self):
-        # Step 1 is valid; step 2's tsallis output sums to 0.9968.
-        out = converge(Tsallis(1e-15), make_dist([0.0, 0.5, 0.5]))
+        # The k < 0 orbit reaches the vertex (1, 0) at step 5, whose zero
+        # entry step 6 rejects.
+        start = make_dist([0.3, 0.7])
+        out = converge(Tsallis(-2.0), start)
         assert isinstance(out, LeftDomain)
-        assert out.steps == 1
-        assert out.last == negate(Tsallis(1e-15), make_dist([0.0, 0.5, 0.5]))
+        assert out.steps == 5
+        assert out.last == iterate(Tsallis(-2.0), start, 5).steps[-1].dist
 
 
 class TestNegateExamples:
@@ -164,24 +237,15 @@ class TestNegateExamples:
             negate(non_spec, EXAMPLE)
 
 
-def _snapped(v):
-    """The documented boundary snap: excursions of at most 1e-12."""
-    if -1e-12 <= v < 0.0:
-        return 0.0
-    if 1.0 < v <= 1.0 + 1e-12:
-        return 1.0
-    return v
-
-
 def _pointwise(spec, d):
     n = d.n
     match spec:
         case Yager():
-            return tuple(_snapped(yager_point(p, n)) for p in d)
+            return tuple(yager_point(p, n) for p in d)
         case Linear(alpha=alpha):
-            return tuple(_snapped(linear_point(p, n, alpha)) for p in d)
+            return tuple(linear_point(p, n, alpha) for p in d)
         case Involutive():
-            return tuple(_snapped(involutive_point(p, d)) for p in d)
+            return tuple(involutive_point(p, d) for p in d)
 
 
 KERNEL_SPECS = st.one_of(
@@ -203,14 +267,14 @@ class TestKernelMatchesPointwise:
         for spec in (Yager(), Linear(0.25), Involutive()):
             assert negate(spec, d).values == _pointwise(spec, d)
 
-    def test_snap_after_range_miss(self):
-        # The second involutive step from a point mass overshoots 1 by an
-        # ulp: validation rejects the raw output and the snap repairs it.
+    def test_vertex_after_two_steps(self):
+        # The first step's values are three roundings of 1/3, whose exact
+        # sum is not 1; n*mp - 1 would carry that into an output an ulp
+        # past 1, the sum of the numerators does not.
         q = negate(Involutive(), point_dist(4, 4))
-        raw = [involutive_point(p, q) for p in q]
-        with pytest.raises(RangeError):
-            make_dist(raw)
+        assert sum(map(Fraction, q)) != 1
         assert negate(Involutive(), q).values == (0.0, 0.0, 0.0, 1.0)
+        assert _pointwise(Involutive(), q) == (0.0, 0.0, 0.0, 1.0)
 
 
 class TestPointwiseValues:
@@ -243,7 +307,7 @@ class TestPointwiseValues:
             )
 
     def test_degenerate_stats_guard(self):
-        # n*mp - 1 > 0 for every Dist from make_dist (TestStats in
+        # sum(mp - p_j) > 0 for every Dist from make_dist (TestStats in
         # test_simplex.py); only a hand-built Dist reaches the guard.
         with pytest.raises(DomainError, match="is not positive"):
             negate(Involutive(), Dist((0.0, 0.0)))
@@ -379,8 +443,8 @@ class TestInvolutiveStructure:
         assert max_abs_diff(d, back) <= 1e-9
 
     def test_point_mass_round_trip_stays_in_range(self):
-        # First step lands on 1/3 thrice; the rounded sum's exact second
-        # negation overshoots 1 by two ulps and must snap back.
+        # First step lands on 1/3 thrice, a sum an ulp off 1; the second
+        # negation must still land inside [0, 1].
         d = point_dist(4, 4)
         back = negate(Involutive(), negate(Involutive(), d))
         assert all(0.0 <= v <= 1.0 for v in back)

@@ -320,12 +320,15 @@ class TestStats:
 
     @given(dists())
     def test_denominator_positivity(self, d):
-        """n*MP - 1 > 0 for every valid distribution.
+        """n*MP - 1 > 0 for every valid distribution, and so is the sum of
+        the involutive numerators MP - p_i that negate divides by.
 
         max(P) >= 1/n always; equality forces the uniform distribution,
         where MP = 2/n. Either way n*MP exceeds 1.
         """
-        assert d.n * (d._hi + d._lo) - 1.0 > 0.0
+        mp = d._hi + d._lo
+        assert d.n * mp - 1.0 > 0.0
+        assert math.fsum([mp - p for p in d]) > 0.0
 
 
 class TestComparison:
@@ -388,8 +391,8 @@ class TestRecordedExtremes:
     for every family but tsallis."""
 
     @given(all_specs(include_negative_k=True), dists())
-    # The involutive output (1 + 2 ulps, 0, 0) snaps to (1, 0, 0), so the
-    # snapped list's extremes are scanned afresh.
+    # A sum an ulp off 1, whose involutive output is the vertex (1, 0, 0):
+    # its 1 is the zero entry's numerator over the numerators' sum.
     @example(Involutive(), make_dist([0.0, _HALF_DOWN, _HALF_DOWN]))
     @settings(max_examples=300)
     def test_negate_output(self, spec, d):
