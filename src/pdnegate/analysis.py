@@ -51,15 +51,7 @@ from .simplex import (
     max_abs_diff,
     uniform_dist,
 )
-from .negators import (
-    Involutive,
-    Linear,
-    NegatorSpec,
-    Tsallis,
-    Uniform,
-    Yager,
-    negate,
-)
+from .negators import NegatorSpec, _linear_alpha, negate
 
 __all__ = [
     "PointVerdict",
@@ -114,26 +106,6 @@ class ClassificationReport:
 class InvolutionCheck(NamedTuple):
     ok: bool
     max_error: float
-
-
-def _linear_alpha(spec: NegatorSpec) -> float | None:
-    """The weight ``alpha`` of the linear negator that ``spec`` equals
-    value for value, or None for the families that read the whole
-    distribution.
-
-    Yager is alpha = 0 and uniform alpha = 1; ``negate``'s linear
-    arithmetic computes their values bit for bit at those weights.
-    """
-    family = type(spec)
-    if family is Yager:
-        return 0.0
-    if family is Uniform:
-        return 1.0
-    if family is Linear:
-        return spec.alpha
-    if family is Tsallis or family is Involutive:
-        return None
-    raise TypeError(f"not a negator spec: {spec!r}")
 
 
 def _linear_map(n: int, alpha: float) -> Callable[[float], float]:

@@ -29,7 +29,7 @@ from .simplex import (
     linf_to_uniform,
     max_abs_diff,
 )
-from .negators import NegatorSpec, _check_alpha, negate
+from .negators import NegatorSpec, _check_alpha, _linear_alpha, negate
 
 __all__ = [
     "OrbitStep",
@@ -177,7 +177,10 @@ def converge(
     tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> ConvergenceOutcome:
     """Iterate until the orbit lands within ``eps`` of uniform (max norm),
-    revisits an earlier distribution, or exhausts ``max_iter`` steps.
+    revisits an earlier distribution, or exhausts ``max_iter`` steps. By
+    the paper's theorem a linear negator (yager and uniform included) with
+    ``|a| = (1 - alpha)/(n - 1) < 1`` converges from every start, so its
+    orbit is never tested for a cycle.
 
     Each step is compared with the step two before it: period 2 is the
     only cycle the shipped families can produce, and this finds it
@@ -187,14 +190,13 @@ def converge(
     earlier, less ``2**-50`` times the step's max, a few ulps of its
     values. An orbit that closes in on uniform while alternating sides
     also comes back within ``tol.tol_eq`` of its step two before, but its
-    gap shrinks by the contraction factor every step. The slack lets a
-    true cycle match at its first return, although rounding makes its
-    gaps differ in the last bits. The price is a band: a linear orbit
-    with ``1 - |a| <= 1e-12``, or whose per-step change
-    ``(1 - |a|) * d0`` is below a few ulps of its values (``d0`` the
-    start's distance to uniform), may be reported as a 2-cycle. A frozen
-    non-uniform point is not reported; such an orbit runs to
-    ``MaxIterReached``.
+    gap shrinks every step. The slack lets a true cycle match at its
+    first return, although rounding makes its gaps differ in the last
+    bits. The price is a band for the tsallis and involutive families:
+    an orbit whose gap shrinks per step by at most ``1e-12`` of itself,
+    or by less than a few ulps of its values, may be reported as a
+    2-cycle. A frozen non-uniform point is not reported; such an orbit
+    runs to ``MaxIterReached``.
 
     Before it compares whole distributions, each step compares its
     recorded min and max with those of the step two before. If the two
@@ -218,6 +220,8 @@ def converge(
     current = dist
     if linf_to_uniform(current) < eps:
         return Converged(0, current)
+    alpha = _linear_alpha(spec)
+    cycles = alpha is None or 1.0 - alpha >= len(dist.values) - 1
     before, previous, last_gap, t = None, current, None, tol.tol_eq
     for k in range(1, max_iter + 1):
         try:
@@ -228,7 +232,7 @@ def converge(
             return LeftDomain(k - 1, current)
         if linf_to_uniform(current) < eps:
             return Converged(k, current)
-        if before is None:
+        if before is None or not cycles:
             # Step 1: nothing two back to match. Its gap is scanned at step
             # 2, and only if step 2 needs it.
             before, previous = previous, current

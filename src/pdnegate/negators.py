@@ -28,7 +28,6 @@ from dataclasses import dataclass, fields
 
 from .errors import (
     DomainError,
-    LengthError,
     NegatorSyntaxError,
     RangeError,
     SumError,
@@ -114,8 +113,9 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     Every family's output lies in [0, 1] by construction, and no value is
     moved onto a boundary. An output that fails validation raises
     ``DomainError``: the input was valid, so the negation left the
-    simplex. A ``Dist`` of fewer than two values, which only direct
-    construction can build, raises ``LengthError`` for every family.
+    simplex. A ``Dist`` built without ``make_dist`` is validated here
+    first, so an invalid one raises its ``LengthError``, ``RangeError``
+    or ``SumError`` for every family and is never negated.
     ``spec`` must be an instance of one of the five spec classes itself:
     any other value, a subclass's instance too, raises ``TypeError``.
 
@@ -125,24 +125,22 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     test suite's ``tests/oracles.py``, so the outputs equal theirs bit
     for bit.
     """
+    lo, hi = dist._lo, dist._hi
     vals = dist.values
     n = len(vals)
-    # Only a Dist built without make_dist can be this short; without the
-    # check each family would fail in its own arithmetic.
-    if n < 2:
-        raise LengthError(f"need at least 2 values, got {n}")
-    # Every family but tsallis reverses order through ops that are
-    # monotone under round-to-nearest (1 - p or mp - p, a multiply by
-    # w >= 0, a divide by a positive d or total, an add of a), so its output's
-    # extremes are its own expression at the input's max and min, equal to
-    # min(out) and max(out) exactly. Tsallis scans its output: libm's pow
-    # is not guaranteed monotone. Exact-class tests are cheaper than class
+    # Each branch replaces lo and hi by its output's extremes. Every family
+    # but tsallis reverses order through ops that are monotone under
+    # round-to-nearest (1 - p or mp - p, a multiply by w >= 0, a divide by
+    # a positive d or total, an add of a), so its output's extremes are its
+    # own expression at the input's max and min, equal to min(out) and
+    # max(out) exactly. Tsallis scans its output: libm's pow is not
+    # guaranteed monotone. Exact-class tests are cheaper than class
     # patterns.
     family = type(spec)
     if family is Yager:
         d = n - 1.0  # float / float is faster than float / int, same bits
         out = [(1.0 - p) / d for p in vals]
-        lo, hi = (1.0 - dist._hi) / d, (1.0 - dist._lo) / d
+        lo, hi = (1.0 - hi) / d, (1.0 - lo) / d
     elif family is Uniform:
         lo = hi = 1.0 / n
         out = [lo] * n
@@ -150,10 +148,10 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
         alpha = spec.alpha
         a, w, d = alpha / n, 1.0 - alpha, n - 1.0
         out = [a + w * (1.0 - p) / d for p in vals]
-        lo, hi = a + w * (1.0 - dist._hi) / d, a + w * (1.0 - dist._lo) / d
+        lo, hi = a + w * (1.0 - hi) / d, a + w * (1.0 - lo) / d
     elif family is Tsallis:
         k = spec.k
-        if k < 0.0 and dist._lo <= 0.0:
+        if k < 0.0 and lo <= 0.0:
             raise DomainError("tsallis with k < 0 requires strictly positive probabilities")
         # Numerators 1 - p**k, or p**k - 1 for k < 0, so that each is >= 0
         # and +0.0 where p**k rounds to 1. Below |k| = _POW_MIN_K they
@@ -175,15 +173,12 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
         out = [x / total for x in nums]
         lo, hi = min(out), max(out)
     elif family is Involutive:
-        mp = dist._hi + dist._lo
+        # total > 0 for every valid Dist (TestStats in test_simplex.py).
+        mp = hi + lo
         nums = [mp - p for p in vals]
         total = math.fsum(nums)
-        # Positive for every Dist from make_dist; a hand-built one such
-        # as Dist((0.0, 0.0)) can fail it.
-        if not total > 0.0:
-            raise DomainError(f"sum of mp - p_j = {total!r} is not positive")
         out = [x / total for x in nums]
-        lo, hi = (mp - dist._hi) / total, (mp - dist._lo) / total
+        lo, hi = (mp - hi) / total, (mp - lo) / total
     else:
         raise TypeError(f"not a negator spec: {spec!r}")
     # Every value is a float already, so make_dist's coercion is skipped.
@@ -191,6 +186,26 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
         return _accepted(tuple(out), lo, hi)
     except (RangeError, SumError) as exc:
         raise DomainError(f"negated output fails validation: {exc}") from exc
+
+
+def _linear_alpha(spec: NegatorSpec) -> float | None:
+    """The weight ``alpha`` of the linear negator that ``spec`` equals
+    value for value, or None for the families that read the whole
+    distribution.
+
+    Yager is alpha = 0 and uniform alpha = 1; ``negate``'s linear
+    arithmetic computes their values bit for bit at those weights.
+    """
+    family = type(spec)
+    if family is Yager:
+        return 0.0
+    if family is Uniform:
+        return 1.0
+    if family is Linear:
+        return spec.alpha
+    if family is Tsallis or family is Involutive:
+        return None
+    raise TypeError(f"not a negator spec: {spec!r}")
 
 
 # The spec classes are the family table. A family's spec text is its

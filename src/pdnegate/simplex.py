@@ -71,24 +71,29 @@ DEFAULT_TOLERANCE = Tolerance()
 class Dist:
     """A probability distribution over n >= 2 ordered outcomes.
 
-    Build through :func:`make_dist` (or the ``uniform_dist`` /
-    ``point_dist`` helpers), which enforce the invariants. Values are kept
+    Build through :func:`make_dist` (or ``uniform_dist`` / ``point_dist``),
+    which enforce the invariants; one built directly is validated when first
+    read by ``negate``, ``converge`` or ``linf_to_uniform``. Values are kept
     in input order and never renormalized or sorted.
     """
 
     values: tuple[float, ...]
 
-    # min(values) and max(values). The validator records both as it checks
-    # the range, so reading them costs no scan; a Dist built directly
-    # computes each on first use. Neither is a dataclass field, so ==,
-    # hash, repr and dataclasses.replace see only ``values``.
+    # min(values) and max(values), recorded by validation in the instance
+    # dict. A Dist built directly records both, _lo first, at its first read
+    # of either, which validates it as make_dist would. Neither is a field,
+    # so ==, hash, repr and replace see only values. (A __getattr__ in place
+    # of the two properties would slow every attribute read of every Dist.)
     @cached_property
     def _lo(self) -> float:
-        return min(self.values)
+        checked = _validated(self.values)
+        vars(self).update(_lo=checked._lo, _hi=checked._hi)
+        return checked._lo
 
     @cached_property
     def _hi(self) -> float:
-        return max(self.values)
+        self._lo  # validates, and records both
+        return vars(self)["_hi"]
 
     @property
     def n(self) -> int:
@@ -199,12 +204,14 @@ def linf_to_uniform(dist: Dist) -> float:
     """Max-norm distance to the uniform distribution of the same length.
 
     Reads the min and max that validation recorded on ``dist``, so it does
-    not scan the values.
+    not scan; it reads them before the length, so that an empty hand-built
+    ``Dist`` raises ``LengthError``.
     """
     # Equal to max(abs(v - u)): rounding is monotone, so the largest v - u
     # comes from max(v), and u - v is exactly -(v - u).
+    lo, hi = dist._lo, dist._hi
     u = 1.0 / len(dist.values)
-    return max(dist._hi - u, u - dist._lo)
+    return max(hi - u, u - lo)
 
 
 def max_abs_diff(a: Dist, b: Dist) -> float:

@@ -52,10 +52,10 @@ from pdnegate.analysis import (
     PointVerdict,
     Verdict,
     _grid_points,
-    _linear_alpha,
     _linear_map,
     random_dist,
 )
+from pdnegate.negators import _linear_alpha
 from pdnegate.simplex import _check_length
 
 
@@ -191,7 +191,8 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANC
     step scans for its gap to the step before, and from step 2 on scans
     again for its distance to the step two before whenever that gap
     exceeds ``tol.tol_eq`` and has not shrunk by more than ``converge``'s
-    slack."""
+    slack. As in ``converge``, a linear negator with |factor| < 1 is
+    never matched."""
     if not eps > 0.0:
         raise DomainError(f"eps must be > 0, got {eps!r}")
     if max_iter < 1:
@@ -200,6 +201,8 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANC
     current = dist
     if linf_to_uniform(current) < eps:
         return Converged(0, current)
+    alpha = _linear_alpha(spec)
+    cycles = alpha is None or 1.0 - alpha >= dist.n - 1
     before, previous, last_gap = None, current, None
     for k in range(1, max_iter + 1):
         try:
@@ -212,7 +215,8 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANC
             return Converged(k, current)
         gap = max_abs_diff(current, previous)
         if (
-            before is not None
+            cycles
+            and before is not None
             and gap > tol.tol_eq
             and gap >= last_gap * (1.0 - 1e-12) - 2**-50 * current._hi
             and max_abs_diff(current, before) <= tol.tol_eq

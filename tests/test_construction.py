@@ -44,6 +44,11 @@ def fast_dists():
     # whose extremes negate derives from the input's.
     m = math.nextafter(0.5, 0.0)
     yield "negate to a vertex", negate(Involutive(), make_dist([0.0, m, m]))
+    # Built directly, then validated by its first read, of _hi here: the
+    # dict still records _lo first.
+    direct = Dist((0.25, 0.75))
+    direct._hi
+    yield "Dist built directly, read once", direct
 
 
 def fast_steps():
@@ -54,7 +59,7 @@ def fast_steps():
 
 def constructed(obj):
     """A copy of ``obj`` built by its class's constructor. A ``Dist``'s
-    cached extremes are read, so its dict holds what validation records."""
+    extremes are read, so its dict holds what validation records."""
     built = type(obj)(*(getattr(obj, f.name) for f in dataclasses.fields(obj)))
     if isinstance(built, Dist):
         built._lo, built._hi

@@ -16,6 +16,8 @@ from pdnegate import (
     LeftDomain,
     NegatorSyntaxError,
     RangeError,
+    SimplexError,
+    SumError,
     Tolerance,
     Tsallis,
     Uniform,
@@ -23,6 +25,7 @@ from pdnegate import (
     converge,
     format_negator,
     iterate,
+    linf_to_uniform,
     make_dist,
     max_abs_diff,
     negate,
@@ -108,7 +111,7 @@ class TestSpecValidation:
 
 class TestShortDist:
     """Only direct construction builds a Dist of fewer than two values;
-    negate rejects it before any family's arithmetic runs."""
+    negate validates it before any family's arithmetic runs."""
 
     @pytest.mark.parametrize(
         "spec",
@@ -119,6 +122,45 @@ class TestShortDist:
     def test_length_error_for_every_family(self, spec, values):
         with pytest.raises(LengthError):
             negate(spec, Dist(values))
+
+
+def _invalid_values():
+    """Value tuples that make_dist rejects: too short, holding a value
+    outside [0, 1], or off-sum."""
+    unit = st.floats(min_value=0.0, max_value=1.0)
+    outside = st.floats().filter(lambda v: not 0.0 <= v <= 1.0)
+    return st.one_of(
+        st.lists(unit, max_size=1),
+        st.tuples(st.lists(unit, min_size=1, max_size=5), outside).map(
+            lambda t: [*t[0], t[1]]
+        ),
+        st.lists(unit, min_size=2, max_size=6).filter(
+            lambda v: abs(math.fsum(v) - 1.0) > 1e-8
+        ),
+    ).map(tuple)
+
+
+class TestInvalidHandBuiltDist:
+    """A Dist built directly is validated on its first read: an invalid
+    one raises the SimplexError that make_dist would, and is never
+    negated or measured."""
+
+    @given(spec=all_specs(include_negative_k=True), values=_invalid_values())
+    @settings(max_examples=300, deadline=None)
+    # Untyped pow and log errors, then silent renormalization, before the
+    # validation on first read.
+    @example(spec=Tsallis(0.5), values=(-0.5, 1.5))
+    @example(spec=Tsallis(0.01), values=(-0.5, 1.5))
+    @example(spec=Involutive(), values=(0.5, 0.6))
+    @example(spec=Tsallis(2.0), values=(0.5, 0.6))
+    def test_raises_simplex_error(self, spec, values):
+        for call in (
+            lambda d: negate(spec, d),
+            lambda d: converge(spec, d),
+            linf_to_uniform,
+        ):
+            with pytest.raises(SimplexError):
+                call(Dist(values))
 
 
 def _near_complement(n, ulps):
@@ -306,10 +348,11 @@ class TestPointwiseValues:
                 yager_point(p, 4), abs=1e-12
             )
 
-    def test_degenerate_stats_guard(self):
-        # sum(mp - p_j) > 0 for every Dist from make_dist (TestStats in
-        # test_simplex.py); only a hand-built Dist reaches the guard.
-        with pytest.raises(DomainError, match="is not positive"):
+    def test_hand_built_zero_dist_raises_sum_error(self):
+        # sum(mp - p_j) > 0 for every valid Dist (TestStats in
+        # test_simplex.py); a hand-built Dist that is not valid is rejected
+        # as make_dist would reject its values, before any arithmetic.
+        with pytest.raises(SumError, match="sum to 0.0"):
             negate(Involutive(), Dist((0.0, 0.0)))
 
 
