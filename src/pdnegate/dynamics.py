@@ -25,8 +25,8 @@ from .simplex import (
     Dist,
     Tolerance,
     _check_length,
+    _new,
     entropy,
-    linf_to_uniform,
     max_abs_diff,
 )
 from .negators import NegatorSpec, _check_alpha, _linear_alpha, negate
@@ -134,22 +134,21 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
     """
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
-    trace = [_step(0, dist)]
-    for k in range(1, steps + 1):
-        dist = negate(spec, dist)
-        trace.append(_step(k, dist))
+    dist._lo  # the first read of a hand-built Dist validates it; len may not
+    u = 1.0 / len(dist.values)
+    trace = []
+    for k in range(steps + 1):
+        if k:
+            dist = negate(spec, dist)
+        # OrbitStep(k, dist, entropy(dist), linf_to_uniform(dist)), bit for bit,
+        # without the generated __init__: safe, as OrbitStep is frozen, has no
+        # __post_init__ and keeps its fields, in this order, in its dict.
+        step = _new(OrbitStep)
+        state = step.__dict__
+        state["k"], state["dist"] = k, dist
+        state["entropy"], state["linf"] = entropy(dist), max(dist._hi - u, u - dist._lo)
+        trace.append(step)
     return OrbitTrace(tuple(trace))
-
-
-def _step(k: int, dist: Dist) -> OrbitStep:
-    """``OrbitStep(k, dist, entropy(dist), linf_to_uniform(dist))`` without
-    the generated ``__init__``, safe as ``OrbitStep`` is frozen, has no
-    ``__post_init__`` and keeps its fields, in this order, in its dict."""
-    step = object.__new__(OrbitStep)
-    state = step.__dict__
-    state["k"], state["dist"] = k, dist
-    state["entropy"], state["linf"] = entropy(dist), linf_to_uniform(dist)
-    return step
 
 
 def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
@@ -218,10 +217,13 @@ def converge(
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
 
     current = dist
-    if linf_to_uniform(current) < eps:
+    # _lo before len, as in iterate. Each side's test decides as linf < eps.
+    lo, hi, n = current._lo, current._hi, len(current.values)
+    u = 1.0 / n
+    if hi - u < eps and u - lo < eps:
         return Converged(0, current)
     alpha = _linear_alpha(spec)
-    cycles = alpha is None or 1.0 - alpha >= len(dist.values) - 1
+    cycles = alpha is None or 1.0 - alpha >= n - 1
     before, previous, last_gap, t = None, current, None, tol.tol_eq
     for k in range(1, max_iter + 1):
         try:
@@ -230,7 +232,7 @@ def converge(
             if k == 1:
                 raise
             return LeftDomain(k - 1, current)
-        if linf_to_uniform(current) < eps:
+        if current._hi - u < eps and u - current._lo < eps:
             return Converged(k, current)
         if before is None or not cycles:
             # Step 1: nothing two back to match. Its gap is scanned at step

@@ -65,6 +65,7 @@ class Tolerance:
 
 
 DEFAULT_TOLERANCE = Tolerance()
+_new = object.__new__  # builds an instance without its __init__
 
 
 @dataclass(frozen=True)
@@ -119,20 +120,8 @@ def make_dist(values: Iterable[float], tol: Tolerance = DEFAULT_TOLERANCE) -> Di
     """
     dist = _validated(tuple(map(float, values)), tol)
     if dist._lo == 0.0:
-        # Store -0.0 as 0.0. Every other value stays the same object.
-        return _recorded(tuple([v or 0.0 for v in dist.values]), 0.0, dist._hi)
-    return dist
-
-
-def _recorded(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
-    """A ``Dist`` of ``vals`` with ``lo`` and ``hi`` recorded as their
-    min and max. Skipping the generated ``__init__`` is safe: ``Dist`` is
-    frozen, has no ``__post_init__`` and keeps all its state in its dict,
-    here in the key order that ``vars()`` and pickles always saw."""
-    dist = object.__new__(Dist)
-    state = dist.__dict__
-    state["values"] = vals
-    state["_lo"], state["_hi"] = lo, hi
+        # Store -0.0 as 0.0, which keeps the sums; other values stay as they are.
+        return _accepted(tuple([v or 0.0 for v in dist.values]), 0.0, dist._hi, tol)
     return dist
 
 
@@ -149,7 +138,10 @@ def _accepted(
 ) -> Dist:
     """:func:`_validated`'s range and sum tests, given ``lo`` and ``hi`` equal
     to ``min(vals)`` and ``max(vals)``: ``negate`` derives them from its
-    input's instead of scanning."""
+    input's instead of scanning. The ``Dist`` it accepts records both, and
+    skips the generated ``__init__``: safe, as ``Dist`` is frozen, has no
+    ``__post_init__`` and keeps all its state in its dict, here in the key
+    order that ``vars()`` and pickles always saw."""
     # Fast path. min and max skip a NaN that is not first, but such a NaN
     # makes the sum NaN, which fails both sum tests as written.
     if 0.0 <= lo and hi <= 1.0:
@@ -167,7 +159,11 @@ def _accepted(
             abs(sum(vals) - 1.0) <= tol.tol_simplex - len(vals) * 2**-52
             or abs(math.fsum(vals) - 1.0) <= tol.tol_simplex
         ):
-            return _recorded(vals, lo, hi)
+            dist = _new(Dist)
+            state = dist.__dict__
+            state["values"] = vals
+            state["_lo"], state["_hi"] = lo, hi
+            return dist
     # Slow path, only to name the fault: the first value outside [0, 1],
     # else the sum.
     for i, v in enumerate(vals):

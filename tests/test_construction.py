@@ -1,6 +1,6 @@
 """Dists and OrbitSteps built without the generated ``__init__``.
 
-``simplex._recorded`` and ``dynamics._step`` write an instance's dict
+``simplex._accepted`` and ``dynamics.iterate`` write an instance's dict
 directly. Every ``Dist`` that ``make_dist``, ``random_dist`` and
 ``negate`` return, and every ``OrbitStep`` of ``iterate``, must be
 indistinguishable from a copy built by the class's constructor.

@@ -69,15 +69,16 @@ class TestIterate:
     @given(all_specs(), dists(min_n=2, max_n=8))
     @settings(max_examples=150)
     def test_trace_structure(self, spec, d):
-        """steps[k+1] is the negation of steps[k]; entropy/linf fields
-        match their distribution; every step stays on the simplex."""
+        """steps[k+1] is the negation of steps[k]; the entropy and linf
+        fields equal entropy() and linf_to_uniform() of their distribution
+        bit for bit; every step stays on the simplex."""
         tr = iterate(spec, d, 4)
         assert len(tr) == 5
         for k, step in enumerate(tr.steps):
             assert step.k == k
             assert abs(math.fsum(step.dist) - 1.0) <= 1e-9
-            assert step.entropy == pytest.approx(entropy(step.dist), abs=1e-15)
-            assert step.linf == pytest.approx(linf_to_uniform(step.dist), abs=1e-15)
+            assert step.entropy == entropy(step.dist)
+            assert step.linf == linf_to_uniform(step.dist)
         for prev, nxt in zip(tr.steps, tr.steps[1:]):
             assert max_abs_diff(negate(spec, prev.dist), nxt.dist) == 0.0
 

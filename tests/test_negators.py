@@ -157,6 +157,7 @@ class TestInvalidHandBuiltDist:
         for call in (
             lambda d: negate(spec, d),
             lambda d: converge(spec, d),
+            lambda d: iterate(spec, d, 1),
             linf_to_uniform,
         ):
             with pytest.raises(SimplexError):
