@@ -36,7 +36,7 @@ import enum
 import math
 import random
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
@@ -67,7 +67,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PointVerdict:
-    """Bracket flags for one orbit triple.
+    """Bracket flags for one orbit triple. In its JSON form (see
+    ``cli._jsonable``) the four flags sit under ``flags``.
 
     For pointwise classification the slots hold a probability value, its
     image, and its second image. For distribution-level classification
@@ -78,10 +79,10 @@ class PointVerdict:
     p: float
     np: float
     nnp: float
-    contracting: bool
-    strictly_contracting: bool
-    expanding: bool
-    involutive: bool
+    contracting: bool = field(metadata={"json": ("flags", "contracting")})
+    strictly_contracting: bool = field(metadata={"json": ("flags", "strictly_contracting")})
+    expanding: bool = field(metadata={"json": ("flags", "expanding")})
+    involutive: bool = field(metadata={"json": ("flags", "involutive")})
 
 
 class Verdict(enum.Enum):
@@ -94,11 +95,12 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Aggregate verdict over sampled points, with up to three witnesses."""
+    """Aggregate verdict over sampled points, with up to three witnesses.
+    Its JSON form names ``sample_count`` ``samples``, as ``classify`` does."""
 
     spec: NegatorSpec
     n: int
-    sample_count: int
+    sample_count: int = field(metadata={"json": ("samples",)})
     verdict: Verdict
     witnesses: tuple[PointVerdict, ...]
 

@@ -14,13 +14,14 @@ array, or as ``@path`` naming a JSON file. The JSON form is exactly what
 from __future__ import annotations
 
 import argparse
+import enum
 import json
 import sys
 from collections.abc import Sequence
 from dataclasses import fields, is_dataclass
 
 from .errors import DomainError
-from .negators import _SPEC_SYNTAX, format_negator, negate, parse_negator
+from .negators import _SPEC_SYNTAX, NegatorSpec, format_negator, negate, parse_negator
 from .simplex import Dist, entropy, make_dist, parse_dist
 
 # The handlers import dynamics and analysis themselves, so that a
@@ -29,29 +30,33 @@ from .simplex import Dist, entropy, make_dist, parse_dist
 TYPE_CHECKING = False
 if TYPE_CHECKING:
     from .analysis import ClassificationReport
-    from .dynamics import ConvergenceOutcome, OrbitTrace
+    from .dynamics import OrbitTrace
 
 __all__ = ["run", "main", "build_parser"]
 
 
 def _jsonable(value: object) -> object:
-    """The JSON form of a library result: a ``Dist`` is its values, a
-    dataclass an object of its fields in declaration order, a tuple a
-    list. A ``converge`` outcome leads with ``"outcome"``, its class name
-    in snake case (``MaxIterReached`` is ``max_iter_reached``)."""
+    """The JSON form of a library result: a ``Dist`` is its values, a spec
+    its text, an enum member its value, a tuple a list, and a dataclass an
+    object of its fields in declaration order. A field whose metadata has
+    a ``"json"`` key path is written there, not under its own name."""
     if isinstance(value, Dist):
         return list(value.values)
+    if isinstance(value, NegatorSpec):
+        return format_negator(value)
+    if isinstance(value, enum.Enum):
+        return value.value
     if isinstance(value, tuple):
         return [_jsonable(v) for v in value]
     if not is_dataclass(value):
         return value
-    obj = {f.name: _jsonable(getattr(value, f.name)) for f in fields(value)}
-    # Only dynamics results reach this branch, so dynamics is loaded.
-    from .dynamics import ConvergenceOutcome
-    if isinstance(value, ConvergenceOutcome):
-        name = type(value).__name__
-        tag = "".join("_" + c.lower() if c.isupper() else c for c in name)[1:]
-        return {"outcome": tag, **obj}
+    obj: dict = {}
+    for f in fields(value):
+        *outer, key = f.metadata.get("json", (f.name,))
+        target = obj
+        for name in outer:
+            target = target.setdefault(name, {})
+        target[key] = _jsonable(getattr(value, f.name))
     return obj
 
 
@@ -84,10 +89,13 @@ def _cmd_iterate(args: argparse.Namespace) -> OrbitTrace | str:
     return orbit_csv(trace) if args.format == "csv" else trace
 
 
-def _cmd_converge(args: argparse.Namespace) -> ConvergenceOutcome:
+def _cmd_converge(args: argparse.Namespace) -> dict:
     from .dynamics import converge
     spec = parse_negator(args.negator)
-    return converge(spec, _read_dist(args.dist), eps=args.eps, max_iter=args.max_iter)
+    outcome = converge(spec, _read_dist(args.dist), eps=args.eps, max_iter=args.max_iter)
+    # The outcome's class name in snake case leads: MaxIterReached is max_iter_reached.
+    tag = "".join("_" + c.lower() if c.isupper() else c for c in type(outcome).__name__)
+    return {"outcome": tag[1:], **_jsonable(outcome)}
 
 
 def _length(n: int) -> int:
@@ -99,36 +107,10 @@ def _length(n: int) -> int:
     return n
 
 
-def _report_json(report: ClassificationReport) -> dict:
-    """The ``classify`` payload. Unlike the other payloads it renames and
-    nests fields: ``sample_count`` is ``samples``, the spec is its text,
-    and each witness's four flags sit under ``flags``."""
-    return {
-        "spec": format_negator(report.spec),
-        "n": report.n,
-        "samples": report.sample_count,
-        "verdict": report.verdict.value,
-        "witnesses": [
-            {
-                "p": w.p,
-                "np": w.np,
-                "nnp": w.nnp,
-                "flags": {
-                    "contracting": w.contracting,
-                    "strictly_contracting": w.strictly_contracting,
-                    "expanding": w.expanding,
-                    "involutive": w.involutive,
-                },
-            }
-            for w in report.witnesses
-        ],
-    }
-
-
-def _cmd_classify(args: argparse.Namespace) -> dict:
+def _cmd_classify(args: argparse.Namespace) -> ClassificationReport:
     from .analysis import classify
     spec = parse_negator(args.negator)
-    return _report_json(classify(spec, _length(args.n), args.samples, args.seed))
+    return classify(spec, _length(args.n), args.samples, args.seed)
 
 
 def _cmd_entropy(args: argparse.Namespace) -> float:

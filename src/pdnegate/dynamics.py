@@ -192,10 +192,13 @@ def converge(
     gap shrinks every step. The slack lets a true cycle match at its
     first return, although rounding makes its gaps differ in the last
     bits. The price is a band for the tsallis and involutive families:
-    an orbit whose gap shrinks per step by at most ``1e-12`` of itself,
-    or by less than a few ulps of its values, may be reported as a
-    2-cycle. A frozen non-uniform point is not reported; such an orbit
-    runs to ``MaxIterReached``.
+    once a step lies within ``tol.tol_eq`` of the step two before it, an
+    orbit whose gap grows, or shrinks per step by at most ``1e-12`` of
+    itself or by less than a few ulps of its values, may be reported as
+    a 2-cycle. ``Tsallis(0.999)`` from ``(0.4994, 0.5006)`` with
+    ``tol_eq = 1e-6`` is one: it moves away from uniform. A frozen
+    non-uniform point is not reported; such an orbit runs to
+    ``MaxIterReached``.
 
     Before it compares whole distributions, each step compares its
     recorded min and max with those of the step two before. If the two

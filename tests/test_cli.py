@@ -262,6 +262,29 @@ class TestClassifyCommand:
         assert (code, err) == (0, "")
         assert out == self.GOLDEN
 
+    # A whole-distribution family: each witness holds the max-norm distances
+    # to uniform of P, NOT(P) and NOT(NOT(P)), and the spec has no fields.
+    DIST_GOLDEN = (
+        '{"spec":"involutive","n":4,"samples":3,"verdict":"involutive","witnesses":['
+        '{"p":0.23034541042758544,"np":0.17639259559549392,"nnp":0.23034541042758544,'
+        '"flags":{"contracting":true,"strictly_contracting":false,'
+        '"expanding":true,"involutive":true}},'
+        '{"p":0.22515331461127858,"np":0.2970831728139445,"nnp":0.22515331461127855,'
+        '"flags":{"contracting":true,"strictly_contracting":false,'
+        '"expanding":true,"involutive":true}},'
+        '{"p":0.3709934445583499,"np":0.21446478260363727,"nnp":0.3709934445583498,'
+        '"flags":{"contracting":true,"strictly_contracting":false,'
+        '"expanding":true,"involutive":true}}]}\n'
+    )
+
+    def test_golden_distribution_level_payload(self, capsys):
+        code, out, err = invoke(
+            capsys, "classify", "--negator", "involutive", "--n", "4",
+            "--samples", "3", "--seed", "5",
+        )
+        assert (code, err) == (0, "")
+        assert out == self.DIST_GOLDEN
+
     def test_seed_required(self, capsys):
         code, out, err = invoke(
             capsys, "classify", "--negator", "yager", "--n", "5"

@@ -15,6 +15,7 @@ from pdnegate import (
     Linear,
     MaxIterReached,
     Oscillating,
+    Tolerance,
     Tsallis,
     Uniform,
     Yager,
@@ -281,6 +282,23 @@ class TestConverge:
         out = converge(Tsallis(2.0), point_dist(2, 2), eps=1e-9)
         assert isinstance(out, Oscillating)
         assert out.period == 2
+
+    # A tsallis orbit that moves away from uniform, although with
+    # tol_eq = 1e-6 its step 2 lies within tol_eq of the start.
+    SLOW_EXPANDING = (Tsallis(0.999), make_dist([0.4994, 0.5006]))
+
+    def test_slowly_expanding_orbit_grows(self):
+        trace = iterate(*self.SLOW_EXPANDING, 3000)
+        linf = [trace.steps[k].linf for k in (0, 1000, 3000)]
+        assert linf == [pytest.approx(v, rel=1e-3) for v in (6.000e-4, 8.83e-4, 1.91e-3)]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the cycle test's slack is one-sided: a growing gap always passes it",
+    )
+    def test_slowly_expanding_orbit_is_not_oscillating(self):
+        out = converge(*self.SLOW_EXPANDING, eps=1e-12, tol=Tolerance(tol_eq=1e-6))
+        assert not isinstance(out, Oscillating)
 
 
 @st.composite
