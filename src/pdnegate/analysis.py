@@ -266,7 +266,6 @@ def fixed_point(
 ) -> float:
     """The unique fixed probability value, 1/n, after checking that
     negating the uniform distribution reproduces it."""
-    _check_length(n)
     u = uniform_dist(n)
     if max_abs_diff(negate(spec, u), u) > tol.tol_eq:
         raise ArithmeticError(f"{spec!r} does not fix the uniform distribution")

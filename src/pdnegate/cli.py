@@ -98,19 +98,10 @@ def _cmd_converge(args: argparse.Namespace) -> dict:
     return {"outcome": tag[1:], **_jsonable(outcome)}
 
 
-def _length(n: int) -> int:
-    # The library raises LengthError (malformed input) for n < 2. On the
-    # command line --n is a count parameter like --samples, -k and
-    # --max-iter, whose bad values exit 2, so it does too.
-    if n < 2:
-        raise DomainError(f"--n must be >= 2, got {n}")
-    return n
-
-
 def _cmd_classify(args: argparse.Namespace) -> ClassificationReport:
     from .analysis import classify
     spec = parse_negator(args.negator)
-    return classify(spec, _length(args.n), args.samples, args.seed)
+    return classify(spec, args.n, args.samples, args.seed)
 
 
 def _cmd_entropy(args: argparse.Namespace) -> float:
@@ -119,7 +110,7 @@ def _cmd_entropy(args: argparse.Namespace) -> float:
 
 def _cmd_fixed_point(args: argparse.Namespace) -> float:
     from .analysis import fixed_point
-    return fixed_point(parse_negator(args.negator), _length(args.n))
+    return fixed_point(parse_negator(args.negator), args.n)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -135,6 +135,7 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
     if steps < 0:
         raise DomainError(f"steps must be >= 0, got {steps}")
     dist._lo  # the first read of a hand-built Dist validates it; len may not
+    _linear_alpha(spec)  # a non-spec raises here, even if negate never runs
     u = 1.0 / len(dist.values)
     trace = []
     for k in range(steps + 1):
@@ -153,11 +154,9 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
 
 def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
     """k-fold application of the linear negator to ``p``, in closed form."""
-    _check_length(n)
-    _check_alpha(alpha)
+    a = contraction_factor(n, alpha).factor
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    a = -(1.0 - alpha) / (n - 1)
     return 1.0 / n + a**k * (p - 1.0 / n)
 
 
@@ -223,10 +222,10 @@ def converge(
     # _lo before len, as in iterate. Each side's test decides as linf < eps.
     lo, hi, n = current._lo, current._hi, len(current.values)
     u = 1.0 / n
-    if hi - u < eps and u - lo < eps:
-        return Converged(0, current)
     alpha = _linear_alpha(spec)
     cycles = alpha is None or 1.0 - alpha >= n - 1
+    if hi - u < eps and u - lo < eps:
+        return Converged(0, current)
     before, previous, last_gap, t = None, current, None, tol.tol_eq
     for k in range(1, max_iter + 1):
         try:

@@ -16,7 +16,7 @@ class SimplexError(ValueError):
 
 
 class LengthError(SimplexError):
-    """Fewer than two outcomes, or an invalid requested length."""
+    """Fewer than two values."""
 
 
 class RangeError(SimplexError):

@@ -174,7 +174,7 @@ def _accepted(
 
 def _check_length(n: int) -> None:
     if n < 2:
-        raise LengthError(f"need n >= 2, got {n}")
+        raise DomainError(f"n must be >= 2, got {n}")
 
 
 def uniform_dist(n: int) -> Dist:

@@ -18,7 +18,10 @@ recurrence test written plainly, comparing whole distributions at every
 step; the library's must give the same outcomes bit for bit.
 ``reference_classify`` is ``classify`` building a ``PointVerdict`` for
 every sample and picking witnesses from the whole list; the library's
-must give equal reports.
+must give equal reports. Both read a spec's linear weight through their
+own ``_reference_alpha``, and ``reference_classify`` draws its own grid,
+maps it with ``linear_point`` and samples with ``expovariate_random_dist``,
+so neither shares a helper with the code it checks.
 """
 
 import decimal
@@ -44,19 +47,11 @@ from pdnegate import (
     Uniform,
     Yager,
     linf_to_uniform,
+    make_dist,
     max_abs_diff,
     negate,
 )
-from pdnegate.analysis import (
-    ClassificationReport,
-    PointVerdict,
-    Verdict,
-    _grid_points,
-    _linear_map,
-    random_dist,
-)
-from pdnegate.negators import _linear_alpha
-from pdnegate.simplex import _check_length
+from pdnegate.analysis import ClassificationReport, PointVerdict, Verdict
 
 
 def yager_point(p, n):
@@ -156,6 +151,22 @@ def expovariate_random_dist(n, seed):
             return values
 
 
+def _reference_alpha(spec):
+    """The linear weight that ``spec`` stands for, or None for the families
+    that read the whole distribution; a value that is not an instance of
+    a spec class itself raises ``negate``'s ``TypeError``."""
+    if type(spec) not in (Yager, Uniform, Linear, Tsallis, Involutive):
+        raise TypeError(f"not a negator spec: {spec!r}")
+    match spec:
+        case Yager():
+            return 0.0
+        case Uniform():
+            return 1.0
+        case Linear(alpha=alpha):
+            return alpha
+    return None
+
+
 class AxiomCheck(NamedTuple):
     ok: bool
     violation: str | None
@@ -199,10 +210,11 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANC
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
 
     current = dist
-    if linf_to_uniform(current) < eps:
-        return Converged(0, current)
-    alpha = _linear_alpha(spec)
+    d0 = linf_to_uniform(current)  # a hand-built Dist is validated before the spec
+    alpha = _reference_alpha(spec)
     cycles = alpha is None or 1.0 - alpha >= dist.n - 1
+    if d0 < eps:
+        return Converged(0, current)
     before, previous, last_gap = None, current, None
     for k in range(1, max_iter + 1):
         try:
@@ -296,22 +308,24 @@ def _reference_witnesses(verdicts, verdict, n, tol):
 def reference_classify(spec, n, samples, seed, tol=DEFAULT_TOLERANCE):
     """``classify`` with a ``PointVerdict`` built for every sample, and the
     witnesses filtered from the whole list of them."""
-    _check_length(n)
+    if n < 2:
+        raise DomainError(f"n must be >= 2, got {n}")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
-    alpha = _linear_alpha(spec)
+    alpha = _reference_alpha(spec)
     rng = random.Random(seed)
 
     verdicts = []
     if alpha is not None:
-        f = _linear_map(n, alpha)
-        for p in _grid_points(samples, rng):
-            np_ = f(p)
-            verdicts.append(_reference_point_verdict(p, np_, f(np_), n, tol))
+        grid = [i / 100 for i in range(101)] + [rng.random() for _ in range(samples)]
+        for p in grid:
+            np_ = linear_point(p, n, alpha)
+            nnp = linear_point(np_, n, alpha)
+            verdicts.append(_reference_point_verdict(p, np_, nnp, n, tol))
     else:
         t = tol.tol_eq
         for _ in range(samples):
-            start = random_dist(n, seed=rng.randrange(2**32))
+            start = make_dist(expovariate_random_dist(n, rng.randrange(2**32)))
             once = negate(spec, start)
             twice = negate(spec, once)
             verdicts.append(

@@ -11,7 +11,6 @@ from pdnegate import (
     DEFAULT_TOLERANCE,
     DomainError,
     Involutive,
-    LengthError,
     LengthMismatchError,
     Linear,
     Tsallis,
@@ -171,7 +170,7 @@ class TestClassify:
 
     @NON_SPECS
     def test_parameter_domains(self, non_spec):
-        with pytest.raises(LengthError):
+        with pytest.raises(DomainError):
             classify(Yager(), 1, 10, seed=0)
         with pytest.raises(DomainError):
             classify(Yager(), 3, 0, seed=0)
@@ -341,7 +340,7 @@ class TestFixedPoint:
         assert fixed_point(Involutive(), 3) == pytest.approx(1 / 3, abs=1e-15)
 
     def test_length_domain(self):
-        with pytest.raises(LengthError):
+        with pytest.raises(DomainError):
             fixed_point(Yager(), 1)
 
 
@@ -398,7 +397,7 @@ class TestRandomDist:
             assert abs(total / 10000 - 1.0 / n) < 0.01
 
     def test_length_domain(self):
-        with pytest.raises(LengthError):
+        with pytest.raises(DomainError):
             random_dist(1, seed=0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 100, 1000])

@@ -34,7 +34,7 @@ from pdnegate import (
     uniform_dist,
 )
 
-from conftest import ALPHA_GRID, all_specs, dists, positive_dists
+from conftest import ALPHA_GRID, NON_SPECS, all_specs, dists, positive_dists
 from oracles import linear_point, yager_power_point
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
@@ -57,6 +57,11 @@ class TestIterate:
         tr = iterate(Yager(), d, 2)
         assert max_abs_diff(tr.steps[1].dist, make_dist([0.7, 0.3])) <= 1e-15
         assert max_abs_diff(tr.steps[2].dist, d) <= 1e-15
+
+    @NON_SPECS
+    def test_rejects_non_spec_at_zero_steps(self, non_spec):
+        with pytest.raises(TypeError, match="^not a negator spec: "):
+            iterate(non_spec, make_dist([0.2, 0.8]), 0)
 
     def test_negative_steps_rejected(self):
         with pytest.raises(DomainError):
@@ -134,6 +139,8 @@ class TestClosedForms:
             linear_power_point(0.5, 3, 2.0, 1)
         with pytest.raises(DomainError):
             linear_power_point(0.5, 3, 0.5, -1)
+        with pytest.raises(DomainError):
+            linear_power_point(0.5, 1, 0.5, 1)
 
 
 class TestContractionFactor:
@@ -160,6 +167,8 @@ class TestContractionFactor:
     def test_domain(self):
         with pytest.raises(DomainError):
             contraction_factor(3, -0.1)
+        with pytest.raises(DomainError):
+            contraction_factor(1, 0.5)
 
 
 class TestExactRate:
@@ -187,6 +196,11 @@ class TestConverge:
         out = converge(Yager(), uniform_dist(4))
         assert isinstance(out, Converged)
         assert out.steps == 0
+
+    @NON_SPECS
+    def test_rejects_non_spec_at_uniform_start(self, non_spec):
+        with pytest.raises(TypeError, match="^not a negator spec: "):
+            converge(non_spec, uniform_dist(3))
 
     def test_yager_n5_point_dist(self):
         out = converge(Yager(), point_dist(5, 1), eps=1e-9)

@@ -228,8 +228,10 @@ class TestMeasuresExact:
 class TestFactories:
     def test_uniform(self):
         assert uniform_dist(4).values == (0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(LengthError):
+        with pytest.raises(DomainError):
             uniform_dist(1)
+        with pytest.raises(DomainError):
+            point_dist(1, 1)
 
     def test_point(self):
         assert point_dist(3, 1).values == (1.0, 0.0, 0.0)
