@@ -35,7 +35,6 @@ from __future__ import annotations
 import enum
 import math
 import random
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
@@ -110,14 +109,6 @@ class InvolutionCheck(NamedTuple):
     max_error: float
 
 
-def _linear_map(n: int, alpha: float) -> Callable[[float], float]:
-    """The linear family's value map at length ``n`` and weight ``alpha``,
-    with its constants hoisted and alpha's domain check left to the spec:
-    the same operation order as ``negate``, so the same bits."""
-    a, w, d = alpha / n, 1.0 - alpha, n - 1.0
-    return lambda p: a + w * (1.0 - p) / d
-
-
 def _point_verdict(p: float, np_: float, nnp: float, n: int, tol: Tolerance) -> tuple:
     """``PointVerdict``'s fields, in its order, as a plain tuple."""
     t = tol.tol_eq
@@ -140,51 +131,37 @@ def _dist_verdict(d0: float, d1: float, d2: float, returned: bool, tol: Toleranc
     return (d0, d1, d2, d2 <= max(d0, d1) + t, False, d0 <= max(d1, d2) + t, returned)
 
 
-def _grid_points(samples: int, rng: random.Random) -> list[float]:
-    # 101 even points hit 0, 1 and the fixed point 1/n for common n.
-    grid = [i / 100 for i in range(101)]
-    grid += [rng.random() for _ in range(samples)]
-    return grid
-
-
 # Positions of PointVerdict's fields in the per-sample flag tuples.
 _P, _CONTRACTING, _STRICT, _EXPANDING, _INVOLUTIVE = 0, 3, 4, 5, 6
 
 
-def _aggregate(verdicts: list[tuple], n: int, tol: Tolerance) -> Verdict:
-    if all(v[_INVOLUTIVE] for v in verdicts):
-        return Verdict.INVOLUTIVE
-    if all(v[_CONTRACTING] for v in verdicts):
-        eligible = [v for v in verdicts if abs(v[_P] - 1.0 / n) > tol.tol_eq]
-        if eligible and all(v[_STRICT] for v in eligible):
-            return Verdict.STRICTLY_CONTRACTING
-        return Verdict.CONTRACTING
-    if all(v[_EXPANDING] for v in verdicts):
-        return Verdict.EXPANDING
-    return Verdict.MIXED
+def _judge(verdicts: list[tuple], n: int, tol: Tolerance) -> tuple[Verdict, tuple]:
+    """The verdict over the per-sample tuples and its witnesses, as
+    ``classify`` states them."""
 
-
-def _witnesses(
-    verdicts: list[tuple], verdict: Verdict, n: int, tol: Tolerance
-) -> tuple[PointVerdict, ...]:
-    def firstn(pred, count=3):
+    def first(pred, count=3):
         return list(islice(filter(pred, verdicts), count))
 
-    if verdict is Verdict.INVOLUTIVE:
-        picks = firstn(lambda v: v[_INVOLUTIVE])
-    elif verdict is Verdict.STRICTLY_CONTRACTING:
-        picks = firstn(lambda v: v[_STRICT])
-    elif verdict is Verdict.CONTRACTING:
-        # Lead with a bracket-equality point: the evidence strictness fails.
-        picks = firstn(lambda v: abs(v[_P] - 1.0 / n) > tol.tol_eq and not v[_STRICT], 1)
-        picks += firstn(lambda v: v[_CONTRACTING] and v not in picks, 3 - len(picks))
-    elif verdict is Verdict.EXPANDING:
-        picks = firstn(lambda v: v[_EXPANDING] and not v[_INVOLUTIVE])
+    if all(v[_INVOLUTIVE] for v in verdicts):
+        verdict, picks = Verdict.INVOLUTIVE, verdicts[:3]
+    elif all(v[_CONTRACTING] for v in verdicts):
+        # Strictness implies being away from 1/n, so with no lead witness
+        # the verdict is strict exactly when some sample is.
+        picks = first(lambda v: abs(v[_P] - 1.0 / n) > tol.tol_eq and not v[_STRICT], 1)
+        strict = [] if picks else first(lambda v: v[_STRICT])
+        if strict:
+            verdict, picks = Verdict.STRICTLY_CONTRACTING, strict
+        else:
+            verdict = Verdict.CONTRACTING
+            picks += first(lambda v: v not in picks, 3 - len(picks))
+    elif all(v[_EXPANDING] for v in verdicts):
+        verdict, picks = Verdict.EXPANDING, first(lambda v: not v[_INVOLUTIVE])
     else:
-        picks = firstn(lambda v: v[_CONTRACTING] and not v[_EXPANDING], 1)
-        picks += firstn(lambda v: v[_EXPANDING] and not v[_CONTRACTING], 1)
-        picks += firstn(lambda v: not (v[_CONTRACTING] or v[_EXPANDING]), 1)
-    return tuple(PointVerdict(*v) for v in picks)
+        verdict = Verdict.MIXED
+        picks = first(lambda v: v[_CONTRACTING] and not v[_EXPANDING], 1)
+        picks += first(lambda v: v[_EXPANDING] and not v[_CONTRACTING], 1)
+        picks += first(lambda v: not (v[_CONTRACTING] or v[_EXPANDING]), 1)
+    return verdict, tuple(PointVerdict(*v) for v in picks)
 
 
 def classify(
@@ -206,8 +183,12 @@ def classify(
     first: a miss there decides it, and only a hit scans the rest.
 
     Each per-sample verdict is kept as a plain tuple of ``PointVerdict``'s
-    fields; only the witnesses (at most three, the first samples in
-    sampling order that show the verdict) become ``PointVerdict``s.
+    fields; only the witnesses, at most three, become ``PointVerdict``s.
+    Each is the first sample in sampling order of its kind: for involutive,
+    any; for strictly contracting, a strict one; for contracting, one away
+    from 1/n that is not strict, if there is one, then any others; for
+    expanding, one that is not involutive; for mixed, one each that is
+    contracting only, expanding only, and neither.
     """
     _check_length(n)
     if samples < 1:
@@ -217,10 +198,12 @@ def classify(
 
     verdicts: list[tuple] = []
     if alpha is not None:
-        f = _linear_map(n, alpha)
-        for p in _grid_points(samples, rng):
-            np_ = f(p)
-            verdicts.append(_point_verdict(p, np_, f(np_), n, tol))
+        # negate's operation order, so the same bits. The 101 even grid
+        # points hit 0, 1 and the fixed point 1/n for common n.
+        a, w, d = alpha / n, 1.0 - alpha, n - 1.0
+        for p in [i / 100 for i in range(101)] + [rng.random() for _ in range(samples)]:
+            np_ = a + w * (1.0 - p) / d
+            verdicts.append(_point_verdict(p, np_, a + w * (1.0 - np_) / d, n, tol))
     else:
         t = tol.tol_eq
         for _ in range(samples):
@@ -240,13 +223,13 @@ def classify(
                 )
             )
 
-    verdict = _aggregate(verdicts, n, tol)
+    verdict, witnesses = _judge(verdicts, n, tol)
     return ClassificationReport(
         spec=spec,
         n=n,
         sample_count=samples,
         verdict=verdict,
-        witnesses=_witnesses(verdicts, verdict, n, tol),
+        witnesses=witnesses,
     )
 
 

@@ -74,8 +74,9 @@ class Dist:
 
     Build through :func:`make_dist` (or ``uniform_dist`` / ``point_dist``),
     which enforce the invariants; one built directly is validated when first
-    read by ``negate``, ``converge`` or ``linf_to_uniform``. Values are kept
-    in input order and never renormalized or sorted.
+    read by ``negate``, ``iterate``, ``converge``, ``linf_to_uniform`` or
+    ``max_abs_diff``. Values are kept in input order and never renormalized
+    or sorted.
     """
 
     values: tuple[float, ...]
@@ -192,7 +193,10 @@ def point_dist(n: int, i: int) -> Dist:
 
 
 def entropy(dist: Dist) -> float:
-    """Quadratic entropy sum((1 - p) * p), in [0, (n-1)/n]."""
+    """Quadratic entropy sum((1 - p) * p), in [0, (n-1)/n] for a valid ``dist``.
+    It does not validate a ``Dist`` built directly: ``iterate`` calls it at
+    every step, on ``negate``'s validated outputs, and the check would slow
+    that loop."""
     return math.fsum([(1.0 - v) * v for v in dist.values])
 
 
@@ -212,6 +216,7 @@ def linf_to_uniform(dist: Dist) -> float:
 
 def max_abs_diff(a: Dist, b: Dist) -> float:
     """Largest componentwise absolute difference between two distributions."""
+    a._lo, b._lo  # validates a hand-built Dist, before the length test
     if len(a.values) != len(b.values):
         raise LengthMismatchError(f"lengths differ: {a.n} vs {b.n}")
     return max(map(abs, map(operator.sub, a.values, b.values)))

@@ -159,6 +159,7 @@ class TestInvalidHandBuiltDist:
             lambda d: converge(spec, d),
             lambda d: iterate(spec, d, 1),
             linf_to_uniform,
+            lambda d: max_abs_diff(d, d),
         ):
             with pytest.raises(SimplexError):
                 call(Dist(values))
