@@ -135,9 +135,9 @@ def _dist_verdict(d0: float, d1: float, d2: float, returned: bool, tol: Toleranc
 _P, _CONTRACTING, _STRICT, _EXPANDING, _INVOLUTIVE = 0, 3, 4, 5, 6
 
 
-def _judge(verdicts: list[tuple], n: int, tol: Tolerance) -> tuple[Verdict, tuple]:
+def _judge(verdicts: list[tuple], fixed: float, tol: Tolerance) -> tuple[Verdict, tuple]:
     """The verdict over the per-sample tuples and its witnesses, as
-    ``classify`` states them."""
+    ``classify`` states them; ``fixed`` is the first slot's fixed value."""
 
     def first(pred, count=3):
         return list(islice(filter(pred, verdicts), count))
@@ -145,9 +145,9 @@ def _judge(verdicts: list[tuple], n: int, tol: Tolerance) -> tuple[Verdict, tupl
     if all(v[_INVOLUTIVE] for v in verdicts):
         verdict, picks = Verdict.INVOLUTIVE, verdicts[:3]
     elif all(v[_CONTRACTING] for v in verdicts):
-        # Strictness implies being away from 1/n, so with no lead witness
-        # the verdict is strict exactly when some sample is.
-        picks = first(lambda v: abs(v[_P] - 1.0 / n) > tol.tol_eq and not v[_STRICT], 1)
+        # Strictness implies being away from the fixed point, so with no
+        # lead witness the verdict is strict exactly when some sample is.
+        picks = first(lambda v: abs(v[_P] - fixed) > tol.tol_eq and not v[_STRICT], 1)
         strict = [] if picks else first(lambda v: v[_STRICT])
         if strict:
             verdict, picks = Verdict.STRICTLY_CONTRACTING, strict
@@ -186,9 +186,10 @@ def classify(
     fields; only the witnesses, at most three, become ``PointVerdict``s.
     Each is the first sample in sampling order of its kind: for involutive,
     any; for strictly contracting, a strict one; for contracting, one away
-    from 1/n that is not strict, if there is one, then any others; for
-    expanding, one that is not involutive; for mixed, one each that is
-    contracting only, expanding only, and neither.
+    from the fixed point (1/n, or uniform at the distribution level) that
+    is not strict, if there is one, then any others; for expanding, one
+    that is not involutive; for mixed, one each that is contracting only,
+    expanding only, and neither.
     """
     _check_length(n)
     if samples < 1:
@@ -223,7 +224,7 @@ def classify(
                 )
             )
 
-    verdict, witnesses = _judge(verdicts, n, tol)
+    verdict, witnesses = _judge(verdicts, 0.0 if alpha is None else 1.0 / n, tol)
     return ClassificationReport(
         spec=spec,
         n=n,

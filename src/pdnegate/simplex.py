@@ -47,24 +47,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical slack: ``tol_simplex`` for sum-to-one validation,
-    ``tol_eq`` for equality in property checks.
+    """Slack for equality in property checks: ``tol_eq``, in (0, 1e-6].
+    Sums are validated at the fixed ``_TOL_SIMPLEX``, which is no setting."""
 
-    Both must be strictly positive and at most 1e-6. The defaults leave
-    ample headroom for double-precision sums of up to ~1e4 terms.
-    """
-
-    tol_simplex: float = 1e-9
     tol_eq: float = 1e-9
 
     def __post_init__(self) -> None:
-        for name in ("tol_simplex", "tol_eq"):
-            value = getattr(self, name)
-            if not 0.0 < value <= 1e-6:
-                raise DomainError(f"{name} must be in (0, 1e-6], got {value!r}")
+        if not 0.0 < self.tol_eq <= 1e-6:
+            raise DomainError(f"tol_eq must be in (0, 1e-6], got {self.tol_eq!r}")
 
 
 DEFAULT_TOLERANCE = Tolerance()
+# How far a distribution's sum may stray from one: ample headroom for
+# double-precision sums of up to ~1e4 terms.
+_TOL_SIMPLEX = 1e-9
 _new = object.__new__  # builds an instance without its __init__
 
 
@@ -111,36 +107,34 @@ class Dist:
         return self.values[index]
 
 
-def make_dist(values: Iterable[float], tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
+def make_dist(values: Iterable[float]) -> Dist:
     """Validate ``values`` as a probability distribution and wrap them.
 
     The input is taken verbatim: no renormalization, no reordering; only
     a ``-0.0`` is stored as ``0.0``. Raises ``LengthError`` for fewer than
     two values, ``RangeError`` for a value outside [0, 1], ``SumError``
-    when the total strays from one by more than ``tol.tol_simplex``.
+    when the total strays from one by more than ``_TOL_SIMPLEX`` (1e-9).
     """
-    dist = _validated(tuple(map(float, values)), tol)
+    dist = _validated(tuple(map(float, values)))
     if dist._lo == 0.0:
         # Store -0.0 as 0.0, which keeps the sums; other values stay as they are.
-        return _accepted(tuple([v or 0.0 for v in dist.values]), 0.0, dist._hi, tol)
+        return _accepted(tuple([v or 0.0 for v in dist.values]), 0.0, dist._hi)
     return dist
 
 
-def _validated(vals: tuple[float, ...], tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
+def _validated(vals: tuple[float, ...]) -> Dist:
     """:func:`make_dist` on a tuple that holds only floats already, as the
     negators' and samplers' outputs do: the same checks, without coercion."""
     if len(vals) < 2:
         raise LengthError(f"need at least 2 values, got {len(vals)}")
-    return _accepted(vals, min(vals), max(vals), tol)
+    return _accepted(vals, min(vals), max(vals))
 
 
-def _accepted(
-    vals: tuple[float, ...], lo: float, hi: float, tol: Tolerance = DEFAULT_TOLERANCE
-) -> Dist:
-    """:func:`_validated`'s range and sum tests, given ``lo`` and ``hi`` equal
-    to ``min(vals)`` and ``max(vals)``: ``negate`` derives them from its
-    input's instead of scanning. The ``Dist`` it accepts records both, and
-    skips the generated ``__init__``: safe, as ``Dist`` is frozen, has no
+def _accepted(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
+    """:func:`_validated`'s tests, given ``lo`` and ``hi`` equal to
+    ``min(vals)`` and ``max(vals)``: ``negate`` derives them from its input's
+    instead of scanning. The ``Dist`` it accepts records both, and skips the
+    generated ``__init__``: safe, as ``Dist`` is frozen, has no
     ``__post_init__`` and keeps all its state in its dict, here in the key
     order that ``vars()`` and pickles always saw."""
     # Fast path. min and max skip a NaN that is not first, but such a NaN
@@ -154,11 +148,11 @@ def _accepted(
         # whatever this test accepts the fsum test accepts too, and fsum
         # decides the rest. From Python 3.12 on, sum() of floats is
         # compensated and its error is smaller still. Past about
-        # tol_simplex * 2**52 values (4.5e6 at the default) the margin
-        # exceeds the tolerance and fsum decides every input.
+        # _TOL_SIMPLEX * 2**52 values (4.5e6) the margin exceeds the
+        # tolerance and fsum decides every input.
         if (
-            abs(sum(vals) - 1.0) <= tol.tol_simplex - len(vals) * 2**-52
-            or abs(math.fsum(vals) - 1.0) <= tol.tol_simplex
+            abs(sum(vals) - 1.0) <= _TOL_SIMPLEX - len(vals) * 2**-52
+            or abs(math.fsum(vals) - 1.0) <= _TOL_SIMPLEX
         ):
             dist = _new(Dist)
             state = dist.__dict__
@@ -170,7 +164,7 @@ def _accepted(
     for i, v in enumerate(vals):
         if not 0.0 <= v <= 1.0:
             raise RangeError(f"value {v!r} at position {i + 1} outside [0, 1]")
-    raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {tol.tol_simplex}")
+    raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {_TOL_SIMPLEX}")
 
 
 def _check_length(n: int) -> None:
@@ -222,11 +216,11 @@ def max_abs_diff(a: Dist, b: Dist) -> float:
     return max(map(abs, map(operator.sub, a.values, b.values)))
 
 
-def parse_dist(text: str, tol: Tolerance = DEFAULT_TOLERANCE) -> Dist:
+def parse_dist(text: str) -> Dist:
     """Parse comma-separated decimal literals, e.g. ``0.1,0.2,0.7``."""
     parts = [part.strip() for part in text.split(",")]
     try:
         values = [float(part) for part in parts]
     except ValueError:
         raise ValueError(f"not a comma-separated list of numbers: {text!r}") from None
-    return make_dist(values, tol)
+    return make_dist(values)

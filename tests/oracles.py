@@ -283,7 +283,10 @@ def _reference_aggregate(verdicts, n, tol):
     return Verdict.MIXED
 
 
-def _reference_witnesses(verdicts, verdict, n, tol):
+def _reference_witnesses(verdicts, verdict, fixed, tol):
+    """The witnesses of ``verdict``; ``fixed`` is where the first slot sits
+    at the fixed point: 1/n for values, 0.0 for distances to uniform."""
+
     def firstn(pred, count=3):
         return [v for v in verdicts if pred(v)][:count]
 
@@ -293,7 +296,7 @@ def _reference_witnesses(verdicts, verdict, n, tol):
         picks = firstn(lambda v: v.strictly_contracting)
     elif verdict is Verdict.CONTRACTING:
         picks = firstn(
-            lambda v: abs(v.p - 1.0 / n) > tol.tol_eq and not v.strictly_contracting, 1
+            lambda v: abs(v.p - fixed) > tol.tol_eq and not v.strictly_contracting, 1
         )
         picks += firstn(lambda v: v.contracting and v not in picks, 3 - len(picks))
     elif verdict is Verdict.EXPANDING:
@@ -345,5 +348,7 @@ def reference_classify(spec, n, samples, seed, tol=DEFAULT_TOLERANCE):
         n=n,
         sample_count=samples,
         verdict=verdict,
-        witnesses=_reference_witnesses(verdicts, verdict, n, tol),
+        witnesses=_reference_witnesses(
+            verdicts, verdict, 1.0 / n if alpha is not None else 0.0, tol
+        ),
     )

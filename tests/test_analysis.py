@@ -258,6 +258,20 @@ class TestClassify:
         assert r.verdict is Verdict.CONTRACTING
         assert not any(w.involutive for w in r.witnesses)
 
+    def test_dist_level_lead_is_away_from_uniform(self):
+        # Distribution-level tuples hold distances to uniform, whose value at
+        # the fixed point is 0: a start at distance 1/n leads, a uniform one
+        # does not.
+        tol = DEFAULT_TOLERANCE
+        at_uniform = analysis._dist_verdict(0.0, 0.0, 0.0, True, tol)
+        at_one_nth = analysis._dist_verdict(1 / 3, 0.2, 0.1, False, tol)
+        other = analysis._dist_verdict(0.2, 0.1, 0.05, False, tol)
+        verdict, witnesses = analysis._judge([at_uniform, at_one_nth, other], 0.0, tol)
+        assert verdict is Verdict.CONTRACTING
+        assert witnesses == tuple(
+            analysis.PointVerdict(*v) for v in (at_one_nth, at_uniform, other)
+        )
+
     @pytest.mark.parametrize("n", [2, 3, 5, 100])
     @pytest.mark.parametrize(
         "spec, alpha", [(Yager(), 0.0), (Uniform(), 1.0), (Linear(0.3), 0.3)]

@@ -34,6 +34,7 @@ from pdnegate import (
 from conftest import WIDE_SPECS, all_specs, dists, wide_inputs
 
 EXAMPLE = (0.1, 0.2, 0.15, 0.3, 0.25)
+TOL_SIMPLEX = 1e-9  # the one sum tolerance of validation
 
 
 class TestMakeDist:
@@ -93,13 +94,17 @@ class TestMakeDist:
         with pytest.raises(SumError):
             make_dist([0.5, 0.5 + 5e-9])
 
-    def test_custom_tolerance(self):
-        loose = Tolerance(tol_simplex=1e-6, tol_eq=1e-6)
-        make_dist([0.5, 0.5 + 5e-7], tol=loose)
+    def test_no_simplex_tolerance_setting(self):
+        """The sum tolerance is fixed: neither Tolerance nor the
+        constructors take one."""
+        with pytest.raises(TypeError):
+            Tolerance(tol_simplex=1e-6)
+        with pytest.raises(TypeError):
+            make_dist([0.5, 0.5 + 5e-7], DEFAULT_TOLERANCE)
+        with pytest.raises(TypeError):
+            parse_dist("0.5,0.5000005", DEFAULT_TOLERANCE)
 
     def test_tolerance_domain(self):
-        with pytest.raises(DomainError):
-            Tolerance(tol_simplex=0.0)
         with pytest.raises(DomainError):
             Tolerance(tol_eq=1e-3)
 
@@ -107,10 +112,10 @@ class TestMakeDist:
     def test_generated_dists_are_valid(self, d):
         assert isinstance(d, Dist)
         assert all(0.0 <= v <= 1.0 for v in d)
-        assert abs(math.fsum(d) - 1.0) <= DEFAULT_TOLERANCE.tol_simplex
+        assert abs(math.fsum(d) - 1.0) <= TOL_SIMPLEX
 
 
-def _reference_make_dist(values, tol):
+def _reference_make_dist(values):
     """The plain validator: coerce, check each value's range, decide the
     sum with fsum alone, then store a -0.0 as 0.0."""
     vals = tuple(float(v) for v in values)
@@ -119,36 +124,33 @@ def _reference_make_dist(values, tol):
     for i, v in enumerate(vals):
         if not 0.0 <= v <= 1.0:
             raise RangeError(f"value {v!r} at position {i + 1} outside [0, 1]")
-    if not abs(math.fsum(vals) - 1.0) <= tol.tol_simplex:
-        raise SumError(
-            f"values sum to {math.fsum(vals)!r}, not 1 within {tol.tol_simplex}"
-        )
+    if not abs(math.fsum(vals) - 1.0) <= TOL_SIMPLEX:
+        raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {TOL_SIMPLEX}")
     return Dist(tuple(v + 0.0 for v in vals))
 
 
-def _outcome(validate, values, tol):
+def _outcome(validate, values):
     try:
-        return tuple(v.hex() for v in validate(values, tol).values)
+        return tuple(v.hex() for v in validate(values).values)
     except SimplexError as exc:
         return type(exc), str(exc)
 
 
 @st.composite
 def near_edge_values(draw):
-    """Values whose sum lies within a few ulps of 1 - tol or 1 + tol, or
-    just inside by about the fast sum test's margin of n ulps, with now
-    and then one value out of range, NaN or infinite."""
+    """Values whose sum lies within a few ulps of 1 - TOL_SIMPLEX or
+    1 + TOL_SIMPLEX, or just inside by about the fast sum test's margin of
+    n ulps, with now and then one value out of range, NaN or infinite."""
     n = draw(
         st.one_of(
             st.integers(2, 20), st.integers(2, 10_000), st.sampled_from([1000, 10_000])
         )
     )
-    tol = 10.0 ** draw(st.floats(-15.0, -6.0))
     side = draw(st.sampled_from([-1.0, 1.0]))
     inside = draw(st.sampled_from([0, n, 2 * n]))
     offset = (draw(st.integers(-8, 8)) - inside) * 2**-52
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    target = 1.0 + side * (tol + offset)
+    target = 1.0 + side * (TOL_SIMPLEX + offset)
     # Equal weights make the plain sum's rounding errors pile up in one
     # direction, so it strays from fsum by a number of ulps growing with n.
     power = draw(st.sampled_from([0, 1, 4]))
@@ -162,7 +164,7 @@ def near_edge_values(draw):
     if draw(st.integers(0, 7)) == 0:
         bad = [math.nan, math.inf, -math.inf, -5e-324, 1.0 + 2**-52]
         values[draw(st.integers(0, n - 1))] = draw(st.sampled_from(bad))
-    return values, Tolerance(tol_simplex=tol)
+    return values
 
 
 class TestSameDecisions:
@@ -172,20 +174,15 @@ class TestSameDecisions:
 
     @given(near_edge_values())
     @settings(max_examples=500, deadline=None)
-    def test_near_edge_sums(self, case):
-        values, tol = case
-        assert _outcome(make_dist, values, tol) == _outcome(
-            _reference_make_dist, values, tol
-        )
+    def test_near_edge_sums(self, values):
+        assert _outcome(make_dist, values) == _outcome(_reference_make_dist, values)
 
     @pytest.mark.parametrize(
         "values",
         [[], [1.0], [0.5, 0.6], [1.0, 2e-9], [-0.0, 1.0], [0, 1], ["0.5", "0.5"]],
     )
     def test_short_rejected_and_coerced_inputs(self, values):
-        assert _outcome(make_dist, values, DEFAULT_TOLERANCE) == _outcome(
-            _reference_make_dist, values, DEFAULT_TOLERANCE
-        )
+        assert _outcome(make_dist, values) == _outcome(_reference_make_dist, values)
 
 
 def _reference_measures(a, b):
