@@ -41,9 +41,8 @@ from typing import NamedTuple
 
 from .errors import DomainError
 from .simplex import (
-    DEFAULT_TOLERANCE,
+    _TOL_EQ,
     Dist,
-    Tolerance,
     _check_length,
     _validated,
     linf_to_uniform,
@@ -109,9 +108,9 @@ class InvolutionCheck(NamedTuple):
     max_error: float
 
 
-def _point_verdict(p: float, np_: float, nnp: float, n: int, tol: Tolerance) -> tuple:
+def _point_verdict(p: float, np_: float, nnp: float, n: int) -> tuple:
     """``PointVerdict``'s fields, in its order, as a plain tuple."""
-    t = tol.tol_eq
+    t = _TOL_EQ
     lo_c, hi_c = min(p, np_), max(p, np_)
     lo_e, hi_e = min(np_, nnp), max(np_, nnp)
     return (
@@ -125,9 +124,9 @@ def _point_verdict(p: float, np_: float, nnp: float, n: int, tol: Tolerance) -> 
     )
 
 
-def _dist_verdict(d0: float, d1: float, d2: float, returned: bool, tol: Tolerance) -> tuple:
+def _dist_verdict(d0: float, d1: float, d2: float, returned: bool) -> tuple:
     """``PointVerdict``'s fields, in its order, as a plain tuple."""
-    t = tol.tol_eq
+    t = _TOL_EQ
     return (d0, d1, d2, d2 <= max(d0, d1) + t, False, d0 <= max(d1, d2) + t, returned)
 
 
@@ -135,7 +134,7 @@ def _dist_verdict(d0: float, d1: float, d2: float, returned: bool, tol: Toleranc
 _P, _CONTRACTING, _STRICT, _EXPANDING, _INVOLUTIVE = 0, 3, 4, 5, 6
 
 
-def _judge(verdicts: list[tuple], fixed: float, tol: Tolerance) -> tuple[Verdict, tuple]:
+def _judge(verdicts: list[tuple], fixed: float) -> tuple[Verdict, tuple]:
     """The verdict over the per-sample tuples and its witnesses, as
     ``classify`` states them; ``fixed`` is the first slot's fixed value."""
 
@@ -147,7 +146,7 @@ def _judge(verdicts: list[tuple], fixed: float, tol: Tolerance) -> tuple[Verdict
     elif all(v[_CONTRACTING] for v in verdicts):
         # Strictness implies being away from the fixed point, so with no
         # lead witness the verdict is strict exactly when some sample is.
-        picks = first(lambda v: abs(v[_P] - fixed) > tol.tol_eq and not v[_STRICT], 1)
+        picks = first(lambda v: abs(v[_P] - fixed) > _TOL_EQ and not v[_STRICT], 1)
         strict = [] if picks else first(lambda v: v[_STRICT])
         if strict:
             verdict, picks = Verdict.STRICTLY_CONTRACTING, strict
@@ -164,13 +163,7 @@ def _judge(verdicts: list[tuple], fixed: float, tol: Tolerance) -> tuple[Verdict
     return verdict, tuple(PointVerdict(*v) for v in picks)
 
 
-def classify(
-    spec: NegatorSpec,
-    n: int,
-    samples: int,
-    seed: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> ClassificationReport:
+def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> ClassificationReport:
     """Classify a negator family at length ``n`` from sampled evidence.
 
     Pointwise families are sampled on a fixed 101-point grid plus
@@ -204,9 +197,9 @@ def classify(
         a, w, d = alpha / n, 1.0 - alpha, n - 1.0
         for p in [i / 100 for i in range(101)] + [rng.random() for _ in range(samples)]:
             np_ = a + w * (1.0 - p) / d
-            verdicts.append(_point_verdict(p, np_, a + w * (1.0 - np_) / d, n, tol))
+            verdicts.append(_point_verdict(p, np_, a + w * (1.0 - np_) / d, n))
     else:
-        t = tol.tol_eq
+        t = _TOL_EQ
         for _ in range(samples):
             start = random_dist(n, seed=rng.randrange(2**32))
             once = negate(spec, start)
@@ -220,11 +213,10 @@ def classify(
                     # miss decides the test without the full scan.
                     abs(start.values[0] - twice.values[0]) <= t
                     and max_abs_diff(start, twice) <= t,
-                    tol,
                 )
             )
 
-    verdict, witnesses = _judge(verdicts, 0.0 if alpha is None else 1.0 / n, tol)
+    verdict, witnesses = _judge(verdicts, 0.0 if alpha is None else 1.0 / n)
     return ClassificationReport(
         spec=spec,
         n=n,
@@ -234,24 +226,18 @@ def classify(
     )
 
 
-def check_involution(
-    spec: NegatorSpec, dist: Dist, tol: Tolerance = DEFAULT_TOLERANCE
-) -> InvolutionCheck:
+def check_involution(spec: NegatorSpec, dist: Dist) -> InvolutionCheck:
     """Whether negating twice returns ``dist``, with the max componentwise error."""
     back = negate(spec, negate(spec, dist))
     err = max_abs_diff(dist, back)
-    return InvolutionCheck(ok=err <= tol.tol_eq, max_error=err)
+    return InvolutionCheck(ok=err <= _TOL_EQ, max_error=err)
 
 
-def fixed_point(
-    spec: NegatorSpec,
-    n: int,
-    tol: Tolerance = DEFAULT_TOLERANCE,
-) -> float:
+def fixed_point(spec: NegatorSpec, n: int) -> float:
     """The unique fixed probability value, 1/n, after checking that
     negating the uniform distribution reproduces it."""
     u = uniform_dist(n)
-    if max_abs_diff(negate(spec, u), u) > tol.tol_eq:
+    if max_abs_diff(negate(spec, u), u) > _TOL_EQ:
         raise ArithmeticError(f"{spec!r} does not fix the uniform distribution")
     return 1.0 / n
 

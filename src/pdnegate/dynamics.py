@@ -21,9 +21,8 @@ from dataclasses import dataclass
 
 from .errors import DomainError
 from .simplex import (
-    DEFAULT_TOLERANCE,
+    _TOL_EQ,
     Dist,
-    Tolerance,
     _check_length,
     _new,
     entropy,
@@ -172,7 +171,6 @@ def converge(
     dist: Dist,
     eps: float = 1e-9,
     max_iter: int = 1000,
-    tol: Tolerance = DEFAULT_TOLERANCE,
 ) -> ConvergenceOutcome:
     """Iterate until the orbit lands within ``eps`` of uniform (max norm),
     revisits an earlier distribution, or exhausts ``max_iter`` steps. By
@@ -180,33 +178,32 @@ def converge(
     ``|a| = (1 - alpha)/(n - 1) < 1`` converges from every start, so its
     orbit is never tested for a cycle.
 
-    Each step is compared with the step two before it: period 2 is the
-    only cycle the shipped families can produce, and this finds it
-    however late the orbit falls into it. A match counts only when the
-    step in between lies more than ``tol.tol_eq`` away and that gap has
-    not shrunk: it is at least ``1 - 1e-12`` times the gap one step
-    earlier, less ``2**-50`` times the step's max, a few ulps of its
-    values. An orbit that closes in on uniform while alternating sides
-    also comes back within ``tol.tol_eq`` of its step two before, but its
-    gap shrinks every step. The slack lets a true cycle match at its
-    first return, although rounding makes its gaps differ in the last
-    bits. The price is a band for the tsallis and involutive families:
-    once a step lies within ``tol.tol_eq`` of the step two before it, an
-    orbit whose gap grows, or shrinks per step by at most ``1e-12`` of
-    itself or by less than a few ulps of its values, may be reported as
-    a 2-cycle. ``Tsallis(0.999)`` from ``(0.4994, 0.5006)`` with
-    ``tol_eq = 1e-6`` is one: it moves away from uniform. A frozen
-    non-uniform point is not reported; such an orbit runs to
+    Each step is compared with the step two before it: period 2 is the only
+    cycle the shipped families can produce, and this finds it however late
+    the orbit falls into it. A match counts only when the step in between
+    lies more than ``1e-9`` away and that gap has not shrunk: it is at
+    least ``1 - 1e-12`` times the gap one step earlier, less ``2**-50``
+    times the step's max, a few ulps of its values. An orbit that closes in
+    on uniform while alternating sides also comes back within ``1e-9`` of
+    its step two before, but its gap shrinks every step. The slack lets a
+    true cycle match at its first return, although rounding makes its gaps
+    differ in the last bits. The price is a band for the tsallis and
+    involutive families: once a step lies within ``1e-9`` of the step two
+    before it, an orbit whose gap grows, or shrinks per step by at most
+    ``1e-12`` of itself or by less than a few ulps of its values, may be
+    reported as a 2-cycle. ``Tsallis(-1.0)`` from ``(0.3, 0.7)`` with
+    ``eps=1e-12`` is one: it reaches the vertex ``(1.0, 0.0)`` at step 7,
+    outside the family's domain, yet it is reported as ``Oscillating``. A
+    frozen non-uniform point is not reported; such an orbit runs to
     ``MaxIterReached``.
 
-    Before it compares whole distributions, each step compares its
-    recorded min and max with those of the step two before. If the two
-    steps lie within ``tol.tol_eq`` of each other in the max norm, so do
-    their mins and their maxes: min and max move by no more than the max
-    norm does, and rounding a difference is monotone. So when either
-    extreme differs by more, the steps cannot match and nothing is
-    scanned; otherwise the full test runs. Every outcome is the one the
-    full test gives.
+    Before it compares whole distributions, each step compares its recorded
+    min and max with those of the step two before. If the two steps lie
+    within ``1e-9`` of each other in the max norm, so do their mins and
+    their maxes: min and max move by no more than the max norm does, and
+    rounding a difference is monotone. So when either extreme differs by
+    more, the steps cannot match and nothing is scanned; otherwise the full
+    test runs. Every outcome is the one the full test gives.
 
     An orbit whose later step falls outside the family's domain, such as
     tsallis with k < 0 once an entry underflows to 0, ends in
@@ -226,7 +223,7 @@ def converge(
     cycles = alpha is None or 1.0 - alpha >= n - 1
     if hi - u < eps and u - lo < eps:
         return Converged(0, current)
-    before, previous, last_gap, t = None, current, None, tol.tol_eq
+    before, previous, last_gap, t = None, current, None, _TOL_EQ
     for k in range(1, max_iter + 1):
         try:
             current = negate(spec, current)

@@ -32,8 +32,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerance",
-    "DEFAULT_TOLERANCE",
     "Dist",
     "make_dist",
     "uniform_dist",
@@ -45,22 +43,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Slack for equality in property checks: ``tol_eq``, in (0, 1e-6].
-    Sums are validated at the fixed ``_TOL_SIMPLEX``, which is no setting."""
-
-    tol_eq: float = 1e-9
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.tol_eq <= 1e-6:
-            raise DomainError(f"tol_eq must be in (0, 1e-6], got {self.tol_eq!r}")
-
-
-DEFAULT_TOLERANCE = Tolerance()
 # How far a distribution's sum may stray from one: ample headroom for
 # double-precision sums of up to ~1e4 terms.
 _TOL_SIMPLEX = 1e-9
+# How far apart two probabilities, or two distributions in the max norm,
+# may be and still count as equal: the slack of converge's cycle test,
+# classify's brackets, check_involution and fixed_point.
+_TOL_EQ = 1e-9
 _new = object.__new__  # builds an instance without its __init__
 
 

@@ -34,7 +34,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from pdnegate import (
-    DEFAULT_TOLERANCE,
     Converged,
     DomainError,
     Involutive,
@@ -52,6 +51,10 @@ from pdnegate import (
     negate,
 )
 from pdnegate.analysis import ClassificationReport, PointVerdict, Verdict
+
+# The library's equality slack, restated: how far apart two values, or two
+# distributions in the max norm, may be and still count as equal.
+TOL_EQ = 1e-9
 
 
 def yager_point(p, n):
@@ -172,19 +175,19 @@ class AxiomCheck(NamedTuple):
     violation: str | None
 
 
-def negation_axioms_check(p_dist, q_dist, tol=DEFAULT_TOLERANCE):
+def negation_axioms_check(p_dist, q_dist):
     """Whether ``q_dist`` is a valid negation of ``p_dist``: order-reversal
-    with ties mapped to ties, within ``tol.tol_eq`` slack.
+    with ties mapped to ties, within ``TOL_EQ`` slack.
 
-    Reversal is required only of inputs more than ``tol.tol_eq`` apart,
-    and agreement within ``tol.tol_eq`` only of exactly equal inputs.
+    Reversal is required only of inputs more than ``TOL_EQ`` apart, and
+    agreement within ``TOL_EQ`` only of exactly equal inputs.
     Distinct inputs closer than that are not checked: a steep map such as
     tsallis with k < 1 near 0 pulls their outputs far more than the slack
     apart, so treating them as a tie would reject a correct negation.
     """
     if p_dist.n != q_dist.n:
         raise LengthMismatchError(f"lengths differ: {p_dist.n} vs {q_dist.n}")
-    t = tol.tol_eq
+    t = TOL_EQ
     p, q = p_dist.values, q_dist.values
     for i in range(p_dist.n):
         for j in range(p_dist.n):
@@ -197,11 +200,11 @@ def negation_axioms_check(p_dist, q_dist, tol=DEFAULT_TOLERANCE):
     return AxiomCheck(True, None)
 
 
-def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANCE):
+def reference_converge(spec, dist, eps=1e-9, max_iter=1000):
     """``converge`` without its reading of the recorded extremes: every
     step scans for its gap to the step before, and from step 2 on scans
     again for its distance to the step two before whenever that gap
-    exceeds ``tol.tol_eq`` and has not shrunk by more than ``converge``'s
+    exceeds ``TOL_EQ`` and has not shrunk by more than ``converge``'s
     slack. As in ``converge``, a linear negator with |factor| < 1 is
     never matched."""
     if not eps > 0.0:
@@ -229,17 +232,17 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000, tol=DEFAULT_TOLERANC
         if (
             cycles
             and before is not None
-            and gap > tol.tol_eq
+            and gap > TOL_EQ
             and gap >= last_gap * (1.0 - 1e-12) - 2**-50 * current._hi
-            and max_abs_diff(current, before) <= tol.tol_eq
+            and max_abs_diff(current, before) <= TOL_EQ
         ):
             return Oscillating(period=2, witness=before)
         before, previous, last_gap = previous, current, gap
     return MaxIterReached(current)
 
 
-def _reference_point_verdict(p, np_, nnp, n, tol):
-    t = tol.tol_eq
+def _reference_point_verdict(p, np_, nnp, n):
+    t = TOL_EQ
     lo_c, hi_c = min(p, np_), max(p, np_)
     contracting = lo_c - t <= nnp <= hi_c + t
     lo_e, hi_e = min(np_, nnp), max(np_, nnp)
@@ -257,8 +260,8 @@ def _reference_point_verdict(p, np_, nnp, n, tol):
     )
 
 
-def _reference_dist_verdict(d0, d1, d2, returned, tol):
-    t = tol.tol_eq
+def _reference_dist_verdict(d0, d1, d2, returned):
+    t = TOL_EQ
     return PointVerdict(
         p=d0,
         np=d1,
@@ -270,11 +273,11 @@ def _reference_dist_verdict(d0, d1, d2, returned, tol):
     )
 
 
-def _reference_aggregate(verdicts, n, tol):
+def _reference_aggregate(verdicts, n):
     if all(v.involutive for v in verdicts):
         return Verdict.INVOLUTIVE
     if all(v.contracting for v in verdicts):
-        eligible = [v for v in verdicts if abs(v.p - 1.0 / n) > tol.tol_eq]
+        eligible = [v for v in verdicts if abs(v.p - 1.0 / n) > TOL_EQ]
         if eligible and all(v.strictly_contracting for v in eligible):
             return Verdict.STRICTLY_CONTRACTING
         return Verdict.CONTRACTING
@@ -283,7 +286,7 @@ def _reference_aggregate(verdicts, n, tol):
     return Verdict.MIXED
 
 
-def _reference_witnesses(verdicts, verdict, fixed, tol):
+def _reference_witnesses(verdicts, verdict, fixed):
     """The witnesses of ``verdict``; ``fixed`` is where the first slot sits
     at the fixed point: 1/n for values, 0.0 for distances to uniform."""
 
@@ -295,9 +298,7 @@ def _reference_witnesses(verdicts, verdict, fixed, tol):
     elif verdict is Verdict.STRICTLY_CONTRACTING:
         picks = firstn(lambda v: v.strictly_contracting)
     elif verdict is Verdict.CONTRACTING:
-        picks = firstn(
-            lambda v: abs(v.p - fixed) > tol.tol_eq and not v.strictly_contracting, 1
-        )
+        picks = firstn(lambda v: abs(v.p - fixed) > TOL_EQ and not v.strictly_contracting, 1)
         picks += firstn(lambda v: v.contracting and v not in picks, 3 - len(picks))
     elif verdict is Verdict.EXPANDING:
         picks = firstn(lambda v: v.expanding and not v.involutive)
@@ -308,7 +309,7 @@ def _reference_witnesses(verdicts, verdict, fixed, tol):
     return tuple(picks[:3])
 
 
-def reference_classify(spec, n, samples, seed, tol=DEFAULT_TOLERANCE):
+def reference_classify(spec, n, samples, seed):
     """``classify`` with a ``PointVerdict`` built for every sample, and the
     witnesses filtered from the whole list of them."""
     if n < 2:
@@ -324,9 +325,9 @@ def reference_classify(spec, n, samples, seed, tol=DEFAULT_TOLERANCE):
         for p in grid:
             np_ = linear_point(p, n, alpha)
             nnp = linear_point(np_, n, alpha)
-            verdicts.append(_reference_point_verdict(p, np_, nnp, n, tol))
+            verdicts.append(_reference_point_verdict(p, np_, nnp, n))
     else:
-        t = tol.tol_eq
+        t = TOL_EQ
         for _ in range(samples):
             start = make_dist(expovariate_random_dist(n, rng.randrange(2**32)))
             once = negate(spec, start)
@@ -338,17 +339,16 @@ def reference_classify(spec, n, samples, seed, tol=DEFAULT_TOLERANCE):
                     linf_to_uniform(twice),
                     abs(start.values[0] - twice.values[0]) <= t
                     and max_abs_diff(start, twice) <= t,
-                    tol,
                 )
             )
 
-    verdict = _reference_aggregate(verdicts, n, tol)
+    verdict = _reference_aggregate(verdicts, n)
     return ClassificationReport(
         spec=spec,
         n=n,
         sample_count=samples,
         verdict=verdict,
         witnesses=_reference_witnesses(
-            verdicts, verdict, 1.0 / n if alpha is not None else 0.0, tol
+            verdicts, verdict, 1.0 / n if alpha is not None else 0.0
         ),
     )

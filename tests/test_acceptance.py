@@ -14,7 +14,6 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from pdnegate import (
-    DEFAULT_TOLERANCE,
     Converged,
     Involutive,
     Linear,
@@ -197,15 +196,13 @@ def test_criterion_7_strict_contraction():
                     if abs(p - 1.0 / n) <= 1e-9:
                         continue
                     q = linear_point(p, n, alpha)
-                    v = PointVerdict(
-                        *_point_verdict(p, q, linear_point(q, n, alpha), n, DEFAULT_TOLERANCE)
-                    )
+                    v = PointVerdict(*_point_verdict(p, q, linear_point(q, n, alpha), n))
                     assert v.strictly_contracting, (alpha, n, p)
 
         for n in (2, 4, 7):
             report = classify(Uniform(), n, samples=100, seed=42)
             assert report.verdict is Verdict.CONTRACTING
-        v = PointVerdict(*_point_verdict(0.9, 0.25, 0.25, 4, DEFAULT_TOLERANCE))
+        v = PointVerdict(*_point_verdict(0.9, 0.25, 0.25, 4))
         assert v.contracting and not v.strictly_contracting
 
 

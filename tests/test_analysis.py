@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 
 from pdnegate import (
-    DEFAULT_TOLERANCE,
     DomainError,
     Involutive,
     LengthMismatchError,
@@ -32,6 +31,7 @@ from pdnegate.cli import run
 
 from conftest import ALPHA_GRID, NON_SPECS, dists
 from oracles import (
+    TOL_EQ,
     expovariate_random_dist,
     involutive_point,
     linear_point,
@@ -46,7 +46,7 @@ def classify_point(f, p, n):
     """The bracket flags of ``p`` under the value map ``f``, applied
     twice, as ``classify`` judges its grid points."""
     np_ = f(p)
-    return analysis.PointVerdict(*analysis._point_verdict(p, np_, f(np_), n, DEFAULT_TOLERANCE))
+    return analysis.PointVerdict(*analysis._point_verdict(p, np_, f(np_), n))
 
 
 class TestClassifyPoint:
@@ -77,7 +77,7 @@ class TestClassifyPoint:
         once = negate(Involutive(), EXAMPLE)
         for p in EXAMPLE:
             back = involutive_point(involutive_point(p, EXAMPLE), once)
-            assert abs(back - p) <= DEFAULT_TOLERANCE.tol_eq
+            assert abs(back - p) <= TOL_EQ
 
     @given(dists(min_n=2, max_n=8))
     @settings(max_examples=200)
@@ -100,7 +100,7 @@ class TestClassifyPoint:
             # returns every value to itself.
             p = p if d._lo <= p <= d._hi else d._lo
             back = involutive_point(involutive_point(p, d), once)
-            assert abs(back - p) <= DEFAULT_TOLERANCE.tol_eq
+            assert abs(back - p) <= TOL_EQ
 
 
 class TestClassify:
@@ -253,7 +253,7 @@ class TestClassify:
         start = make_dist([1 / 3, 0.2, 1 - 1 / 3 - 0.2])
         monkeypatch.setattr(analysis, "random_dist", lambda n, seed: start)
         twice = negate(Tsallis(1.0), negate(Tsallis(1.0), start))
-        assert abs(twice[0] - start[0]) <= DEFAULT_TOLERANCE.tol_eq
+        assert abs(twice[0] - start[0]) <= TOL_EQ
         r = classify(Tsallis(1.0), 3, samples=5, seed=0)
         assert r.verdict is Verdict.CONTRACTING
         assert not any(w.involutive for w in r.witnesses)
@@ -262,11 +262,10 @@ class TestClassify:
         # Distribution-level tuples hold distances to uniform, whose value at
         # the fixed point is 0: a start at distance 1/n leads, a uniform one
         # does not.
-        tol = DEFAULT_TOLERANCE
-        at_uniform = analysis._dist_verdict(0.0, 0.0, 0.0, True, tol)
-        at_one_nth = analysis._dist_verdict(1 / 3, 0.2, 0.1, False, tol)
-        other = analysis._dist_verdict(0.2, 0.1, 0.05, False, tol)
-        verdict, witnesses = analysis._judge([at_uniform, at_one_nth, other], 0.0, tol)
+        at_uniform = analysis._dist_verdict(0.0, 0.0, 0.0, True)
+        at_one_nth = analysis._dist_verdict(1 / 3, 0.2, 0.1, False)
+        other = analysis._dist_verdict(0.2, 0.1, 0.05, False)
+        verdict, witnesses = analysis._judge([at_uniform, at_one_nth, other], 0.0)
         assert verdict is Verdict.CONTRACTING
         assert witnesses == tuple(
             analysis.PointVerdict(*v) for v in (at_one_nth, at_uniform, other)

@@ -15,7 +15,6 @@ from pdnegate import (
     Linear,
     MaxIterReached,
     Oscillating,
-    Tolerance,
     Tsallis,
     Uniform,
     Yager,
@@ -241,7 +240,7 @@ class TestConverge:
     )
     def test_alternating_convergence_is_not_oscillating(self, spec, start, steps):
         # Each orbit alternates sides of uniform and, well before eps, comes
-        # back within tol_eq of its step two before; only the shrinking gap
+        # back within 1e-9 of its step two before; only the shrinking gap
         # to the step in between tells it from a cycle.
         out = converge(spec, start, eps=1e-12)
         assert isinstance(out, Converged)
@@ -297,8 +296,7 @@ class TestConverge:
         assert isinstance(out, Oscillating)
         assert out.period == 2
 
-    # A tsallis orbit that moves away from uniform, although with
-    # tol_eq = 1e-6 its step 2 lies within tol_eq of the start.
+    # A tsallis orbit that moves away from uniform.
     SLOW_EXPANDING = (Tsallis(0.999), make_dist([0.4994, 0.5006]))
 
     def test_slowly_expanding_orbit_grows(self):
@@ -306,12 +304,23 @@ class TestConverge:
         linf = [trace.steps[k].linf for k in (0, 1000, 3000)]
         assert linf == [pytest.approx(v, rel=1e-3) for v in (6.000e-4, 8.83e-4, 1.91e-3)]
 
+    # A tsallis orbit with k < 0 that alternates sides on its way to a
+    # vertex: step 7 lies within 1e-9 of step 5, and the gap to step 6 in
+    # between has grown, not shrunk.
+    TO_A_VERTEX = (Tsallis(-1.0), make_dist([0.3, 0.7]))
+
+    def test_orbit_to_a_vertex_leaves_the_domain(self):
+        last = iterate(*self.TO_A_VERTEX, 7).last.dist
+        assert last == make_dist([1.0, 0.0])
+        with pytest.raises(DomainError):
+            negate(self.TO_A_VERTEX[0], last)
+
     @pytest.mark.xfail(
         strict=True,
         reason="the cycle test's slack is one-sided: a growing gap always passes it",
     )
-    def test_slowly_expanding_orbit_is_not_oscillating(self):
-        out = converge(*self.SLOW_EXPANDING, eps=1e-12, tol=Tolerance(tol_eq=1e-6))
+    def test_orbit_to_a_vertex_is_not_oscillating(self):
+        out = converge(*self.TO_A_VERTEX, eps=1e-12)
         assert not isinstance(out, Oscillating)
 
 
@@ -335,7 +344,7 @@ class TestConvergeTheorem:
         eps=st.sampled_from([1e-12, 1e-9, 1e-6]),
     )
     @settings(max_examples=300, deadline=None)
-    # |factor| 0.999: step 2 returns within tol_eq of the start, yet the
+    # |factor| 0.999: step 2 returns within 1e-9 of the start, yet the
     # orbit contracts. Then 1 - |factor| = 1e-13, where each step's gap
     # shrinks by less than converge's cycle slack.
     @example(alpha=0.001, d=make_dist([0.5 - 4e-7, 0.5 + 4e-7]), eps=1e-9)
@@ -372,7 +381,7 @@ class TestConvergeTheorem:
     @example(case=(Yager(), make_dist([0.500000005, 0.499999995])), eps=1e-9)
     def test_true_cycle_found_at_first_return(self, case, eps):
         """The involutive family and yager at n = 2 cycle with period 2:
-        from a start farther than eps >= tol_eq from uniform, converge
+        from a start farther than eps >= 1e-9 from uniform, converge
         reports it with the start as witness."""
         spec, d = case
         assume(linf_to_uniform(d) > eps)

@@ -392,7 +392,7 @@ class TestLinearParams:
 class TestNegationAxioms:
     @given(all_specs(), dists(min_n=2, max_n=8))
     @settings(max_examples=300)
-    # Inputs 1e-9 apart: tsallis k < 1 maps them far more than tol_eq apart.
+    # Inputs 1e-9 apart: tsallis k < 1 maps them far more than TOL_EQ apart.
     @example(Tsallis(0.5), make_dist([0.0, 1.0 - 1e-9, 1e-9]))
     def test_output_reverses_order(self, spec, d):
         """Every family's output is a valid distribution with order

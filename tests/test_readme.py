@@ -16,9 +16,8 @@ PUBLIC = {
     "LengthMismatchError", "DomainError",
     "NegatorSyntaxError",
     # simplex
-    "Tolerance", "DEFAULT_TOLERANCE", "Dist", "make_dist",
-    "uniform_dist", "point_dist", "entropy", "linf_to_uniform",
-    "max_abs_diff", "parse_dist",
+    "Dist", "make_dist", "uniform_dist", "point_dist", "entropy",
+    "linf_to_uniform", "max_abs_diff", "parse_dist",
     # negators
     "Yager", "Uniform", "Linear", "Tsallis", "Involutive", "NegatorSpec",
     "negate", "parse_negator",

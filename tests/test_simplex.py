@@ -9,8 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import pdnegate
 from pdnegate import (
-    DEFAULT_TOLERANCE,
     Dist,
     DomainError,
     Involutive,
@@ -19,8 +19,12 @@ from pdnegate import (
     RangeError,
     SimplexError,
     SumError,
-    Tolerance,
+    Yager,
+    check_involution,
+    classify,
+    converge,
     entropy,
+    fixed_point,
     linf_to_uniform,
     make_dist,
     max_abs_diff,
@@ -32,6 +36,7 @@ from pdnegate import (
 )
 
 from conftest import WIDE_SPECS, all_specs, dists, wide_inputs
+from oracles import TOL_EQ
 
 EXAMPLE = (0.1, 0.2, 0.15, 0.3, 0.25)
 TOL_SIMPLEX = 1e-9  # the one sum tolerance of validation
@@ -94,19 +99,24 @@ class TestMakeDist:
         with pytest.raises(SumError):
             make_dist([0.5, 0.5 + 5e-9])
 
-    def test_no_simplex_tolerance_setting(self):
-        """The sum tolerance is fixed: neither Tolerance nor the
-        constructors take one."""
+    def test_no_tolerance_setting(self):
+        """Both tolerances are fixed: the package exports no tolerance, and
+        neither the constructors nor the property checks take one."""
+        assert not hasattr(pdnegate, "Tolerance")
+        assert not hasattr(pdnegate, "DEFAULT_TOLERANCE")
         with pytest.raises(TypeError):
-            Tolerance(tol_simplex=1e-6)
+            make_dist([0.5, 0.5 + 5e-7], 1e-6)
         with pytest.raises(TypeError):
-            make_dist([0.5, 0.5 + 5e-7], DEFAULT_TOLERANCE)
+            parse_dist("0.5,0.5000005", 1e-6)
+        d = make_dist([0.3, 0.7])
         with pytest.raises(TypeError):
-            parse_dist("0.5,0.5000005", DEFAULT_TOLERANCE)
-
-    def test_tolerance_domain(self):
-        with pytest.raises(DomainError):
-            Tolerance(tol_eq=1e-3)
+            converge(Yager(), d, tol=1e-6)
+        with pytest.raises(TypeError):
+            classify(Yager(), 3, 5, 0, tol=1e-6)
+        with pytest.raises(TypeError):
+            check_involution(Yager(), d, tol=1e-6)
+        with pytest.raises(TypeError):
+            fixed_point(Yager(), 3, tol=1e-6)
 
     @given(dists())
     def test_generated_dists_are_valid(self, d):
@@ -294,7 +304,7 @@ class TestLinfToUniform:
 
     @given(dists())
     def test_zero_iff_uniform(self, d):
-        if linf_to_uniform(d) <= DEFAULT_TOLERANCE.tol_eq:
+        if linf_to_uniform(d) <= TOL_EQ:
             assert max_abs_diff(d, uniform_dist(d.n)) <= 1e-9
 
 
