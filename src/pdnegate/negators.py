@@ -255,5 +255,5 @@ def format_negator(spec: NegatorSpec) -> str:
     if type(spec) not in _FAMILIES:
         raise TypeError(f"not a negator spec: {spec!r}")
     return type(spec).__name__.lower() + "".join(
-        f":{f.name}={getattr(spec, f.name)!r}" for f in fields(spec)
+        f":{f.name}={float(getattr(spec, f.name))!r}" for f in fields(spec)
     )

@@ -1,9 +1,10 @@
 """Validated points on the probability simplex and their summary measures.
 
 A distribution here is a finite ordered tuple of probabilities summing to
-one. Constructors reject invalid input instead of repairing it, so every
-``Dist`` in circulation is known-good and the outputs of downstream
-transformations can be asserted to be valid on their own merits.
+one. Constructors reject invalid input instead of repairing it; a ``Dist``
+built directly is validated at its first read by ``negate``, ``iterate``,
+``converge``, ``linf_to_uniform`` or ``max_abs_diff``, and never by
+``entropy``.
 
 The entropy used throughout is the quadratic (Gini) form
 

@@ -380,11 +380,16 @@ class TestExitCodes:
         assert "at least 2 values" in err
 
     def test_bad_sum_is_input_error(self, capsys):
-        code, out, err = invoke(
-            capsys, "negate", "--negator", "yager", "--dist", "0.5,0.6"
+        """The one sum tolerance is 1e-9: a sum 5e-10 off one is accepted,
+        and sums 1e-6 or more off are not."""
+        code, _, _ = invoke(
+            capsys, "negate", "--negator", "yager", "--dist", "0.5,0.5000000005"
         )
-        assert code == 1
-        assert out == ""
+        assert code == 0
+        for dist in ("0.5,0.6", "0.333333,0.333333,0.333333"):
+            code, out, _ = invoke(capsys, "negate", "--negator", "yager", "--dist", dist)
+            assert code == 1, dist
+            assert out == ""
 
     def test_unknown_negator_is_input_error(self, capsys):
         code, _, _ = invoke(

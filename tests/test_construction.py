@@ -4,11 +4,6 @@
 directly. Every ``Dist`` that ``make_dist``, ``random_dist`` and
 ``negate`` return, and every ``OrbitStep`` of ``iterate``, must be
 indistinguishable from a copy built by the class's constructor.
-
-Only the standard library is used, so the checks also run as a script on
-an interpreter that has no pytest:
-
-    PYTHONPATH=src python tests/test_construction.py
 """
 
 import copy
@@ -122,10 +117,3 @@ def test_classes_have_no_post_init_and_every_field_is_set():
         assert not hasattr(cls, "__post_init__"), cls
     for name, fast in cases():
         assert {f.name for f in dataclasses.fields(fast)} <= vars(fast).keys(), name
-
-
-if __name__ == "__main__":
-    for test_name, test in list(globals().items()):
-        if test_name.startswith("test_"):
-            test()
-            print("ok", test_name)

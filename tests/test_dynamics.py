@@ -221,6 +221,10 @@ class TestConverge:
         out = converge(Yager(), point_dist(5, 1), eps=1e-15, max_iter=3)
         assert isinstance(out, MaxIterReached)
         assert linf_to_uniform(out.last) == pytest.approx(0.8 * 0.25**3, abs=1e-15)
+        # Its gap to step 1, 8e-10, is within the 1e-9 equality slack, so
+        # the 2-cycle is never seen.
+        start = make_dist([0.5000000004, 0.4999999996])
+        assert isinstance(converge(Involutive(), start, eps=1e-10), MaxIterReached)
 
     def test_late_two_cycle_is_oscillating(self):
         # tsallis k = 0.5 reaches the cycle (1, 0) <-> (0, 1) only after
@@ -379,10 +383,13 @@ class TestConvergeTheorem:
     # converge's slack finds the cycle at the first return.
     @example(case=(Involutive(), make_dist([0.500000005, 0.499999995])), eps=1e-9)
     @example(case=(Yager(), make_dist([0.500000005, 0.499999995])), eps=1e-9)
+    # Its gap to step 1, 1.2e-9, is just above the 1e-9 equality slack.
+    @example(case=(Involutive(), make_dist([0.5000000006, 0.4999999994])), eps=1e-10)
     def test_true_cycle_found_at_first_return(self, case, eps):
         """The involutive family and yager at n = 2 cycle with period 2:
-        from a start farther than eps >= 1e-9 from uniform, converge
-        reports it with the start as witness."""
+        from a start farther than eps from uniform, whose step 1 lies more
+        than the 1e-9 equality slack away, converge reports it with the
+        start as witness."""
         spec, d = case
         assume(linf_to_uniform(d) > eps)
         out = converge(spec, d, eps=eps)

@@ -532,7 +532,14 @@ class TestNegatorSyntax:
         assert parse_negator("tsallis:k=-1.5") == Tsallis(-1.5)
 
     def test_round_trip(self):
-        for spec in (Yager(), Uniform(), Linear(0.25), Tsallis(2.0), Involutive()):
+        class Half(float):
+            def __repr__(self):
+                return "Half()"
+
+        # A parameter that is a bool, an int or a float subclass is written
+        # as the float it equals, which is what parse_negator reads.
+        for spec in (Yager(), Uniform(), Linear(0.25), Tsallis(2.0), Involutive(),
+                     Linear(True), Tsallis(2), Linear(Half(0.5))):
             assert parse_negator(format_negator(spec)) == spec
 
     def test_syntax_table_round_trip(self):
