@@ -3,11 +3,14 @@
 A change that means to leave every output unchanged bit for bit must
 print the same digest before and after, on every Python version;
 ``tests/test_bitdump.py`` holds it to the digest in
-``tests/bitdump.sha256``, which a change that alters outputs rewrites. The
-records cover ``negate`` (n up to 10 000, outputs on the [0, 1] boundary
-and failing ones included), ``iterate``, ``converge``, ``classify`` and
-``fixed_point``: every float as ``float.hex()``, each ``Dist``'s values
-and its recorded min and max, and each error's type and message.
+``tests/bitdump.sha256``, which a change that alters outputs rewrites. It
+is the tests' only record of output bits. The records cover ``negate``
+(n up to 10 000, outputs on the [0, 1] boundary and failing ones
+included), ``iterate``, ``converge`` (every spec from every start up to
+n = 100, at two ``eps`` and two ``max_iter``), ``classify`` (at two seeds)
+and ``fixed_point``: every float as ``float.hex()``, each outcome's type
+and counts, each ``Dist``'s values and its recorded min and max, and each
+error's type and message.
 
 It needs only the standard library and the package. From the
 repository root:
@@ -43,11 +46,6 @@ from pdnegate import (
     random_dist,
 )
 
-# converge's equality slack, the library's fixed 1e-9, written into each
-# converge record so that the records compare line by line with older
-# dumps, which also ran a slack of 1e-6.
-TOL_EQ = 1e-9
-
 SPECS = [
     Yager(),
     Uniform(),
@@ -55,7 +53,9 @@ SPECS = [
     Linear(0.25),
     Linear(0.75),
     Linear(1.0),
+    *(Linear(i / 10) for i in range(1, 10)),
     Tsallis(0.5),
+    Tsallis(1.0),
     Tsallis(2.0),
     Tsallis(3.0),
     Tsallis(-0.5),
@@ -86,6 +86,11 @@ def _starts():
     yield "corner4", make_dist([0.0, 0.0, 0.0, 1.0])
     for n, ulps in ((3, 1), (10_000, 1), (10_000, 2)):
         yield f"complement{n}-{ulps}", _near_complement(n, ulps)
+    # Orbits that leave the tsallis k < 0 domain, and a vertex off centre.
+    yield "leave3a", make_dist([0.2, 0.3, 0.5])
+    yield "leave3b", make_dist([0.15, 0.25, 0.6])
+    yield "leave4", make_dist([0.1, 0.2, 0.3, 0.4])
+    yield "vertex8at3", point_dist(8, 3)
 
 
 def _enc(x):
@@ -126,9 +131,11 @@ def records():
             for eps in (1e-12, 1e-9):
                 for max_iter in (5, 1000):
                     out = _call(converge, spec, start, eps=eps, max_iter=max_iter)
-                    yield f"converge {name} {label} {eps} {TOL_EQ} {max_iter} {out}"
+                    yield f"converge {name} {label} {eps} {max_iter} {out}"
         for n in (2, 3, 5, 100):
             yield f"classify {name} {n} {_call(classify, spec, n, 40, seed=n)}"
+            out = _call(classify, spec, n, 40, seed=2021)
+            yield f"classify {name} {n} seed=2021 {out}"
             yield f"fixed_point {name} {n} {_call(fixed_point, spec, n)}"
     # Slowly alternating linear orbits, on which a 2-cycle is close to
     # being matched for many steps.
@@ -136,7 +143,7 @@ def records():
         for half in (0.2, 6e-4, 4e-7):
             start = make_dist([0.5 - half, 0.5 + half])
             out = _call(converge, Linear(alpha), start, eps=1e-12)
-            yield f"converge linear:alpha={alpha} half{half} {TOL_EQ} {out}"
+            yield f"converge linear:alpha={alpha} half{half} {out}"
 
 
 def digest():

@@ -111,25 +111,6 @@ class TestIterateCommand:
         assert steps[0]["entropy"] == 0.0
         assert steps[0]["linf"] == pytest.approx(2 / 3)
 
-    def test_csv_orbit(self, capsys):
-        code, out, _ = invoke(
-            capsys, "iterate", "--negator", "yager", "--dist", "1,0,0,0,0",
-            "-k", "3", "--format", "csv",
-        )
-        assert code == 0
-        lines = out.splitlines()
-        assert lines[0] == "k,p_1,p_2,p_3,p_4,p_5,entropy,linf"
-        assert len(lines) == 5
-        assert lines[2].startswith("1,0,0.25,0.25,0.25,0.25,")
-
-    def test_csv_golden(self, capsys):
-        code, out, _ = invoke(
-            capsys, "iterate", "--negator", "involutive",
-            "--dist", "0.1,0.2,0.15,0.3,0.25", "-k", "2", "--format", "csv",
-        )
-        assert code == 0
-        assert out == ORBIT_CSV_GOLDEN
-
 
 class TestOrbitCsv:
     """The orbit CSV as the iterate command writes it to stdout."""
@@ -143,27 +124,6 @@ class TestOrbitCsv:
         assert err == ""
         assert out == ORBIT_CSV_GOLDEN
         assert out.endswith("\n") and not out.endswith("\n\n")
-
-    def test_header_scales_with_n(self, capsys):
-        code, out, _ = invoke(
-            capsys, "iterate", "--negator", "yager", "--dist", "0.5,0.5",
-            "-k", "1", "--format", "csv",
-        )
-        assert code == 0
-        assert out.splitlines()[0] == "k,p_1,p_2,entropy,linf"
-
-    def test_cells_have_seventeen_significant_digits(self, capsys):
-        code, out, _ = invoke(
-            capsys, "iterate", "--negator", "yager", "--dist", "1,0,0,0,0",
-            "-k", "2", "--format", "csv",
-        )
-        assert code == 0
-        cells = out.splitlines()[2].split(",")
-        assert cells[0] == "1"
-        # 0.25 is exact in binary; 17 significant digits collapse to "0.25".
-        assert cells[2] == "0.25"
-        for cell in cells[1:]:
-            assert float(cell) == float(format(float(cell), ".17g"))
 
 
 class TestConvergeCommand:

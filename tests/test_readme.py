@@ -58,12 +58,6 @@ class TestPublicSurface:
         assert len(pdnegate.__all__) == len(PUBLIC)
         assert set(pdnegate.__all__) == PUBLIC
 
-    def test_star_import_binds_exactly_all(self):
-        ns = {}
-        exec("from pdnegate import *", ns)
-        del ns["__builtins__"]
-        assert set(ns) == PUBLIC
-
     def test_api_section_lists_every_export_once(self):
         listed = re.findall(r"^- `(\w+)", _section("API"), re.M)
         assert sorted(listed) == sorted(PUBLIC)
