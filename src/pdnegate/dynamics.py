@@ -33,7 +33,6 @@ from .negators import NegatorSpec, _check_alpha, _linear_alpha, negate
 __all__ = [
     "OrbitStep",
     "OrbitTrace",
-    "ContractionFactor",
     "Converged",
     "Oscillating",
     "MaxIterReached",
@@ -69,24 +68,6 @@ class OrbitTrace:
 
     def __len__(self) -> int:
         return len(self.steps)
-
-
-@dataclass(frozen=True)
-class ContractionFactor:
-    """Per-step scaling of the offset from 1/n under a linear negator.
-
-    ``factor`` equals -(1 - alpha)/(n - 1); it is always in
-    [-1/(n-1), 0]. Orbits converge iff |factor| < 1, which fails exactly
-    for n = 2 with alpha = 0.
-    """
-
-    factor: float
-    n: int
-    alpha: float
-
-    @property
-    def convergent(self) -> bool:
-        return abs(self.factor) < 1.0
 
 
 @dataclass(frozen=True)
@@ -153,17 +134,20 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
 
 def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
     """k-fold application of the linear negator to ``p``, in closed form."""
-    a = contraction_factor(n, alpha).factor
+    a = contraction_factor(n, alpha)
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     return 1.0 / n + a**k * (p - 1.0 / n)
 
 
-def contraction_factor(n: int, alpha: float) -> ContractionFactor:
-    """Per-step offset scaling of the linear family for given n and alpha."""
+def contraction_factor(n: int, alpha: float) -> float:
+    """Per-step scaling of the offset from 1/n under the linear negator:
+    -(1 - alpha)/(n - 1), always in [-1/(n-1), 0]. Orbits converge iff
+    its absolute value is below 1, which fails exactly for n = 2 with
+    alpha = 0."""
     _check_length(n)
     _check_alpha(alpha)
-    return ContractionFactor(factor=-(1.0 - alpha) / (n - 1), n=n, alpha=alpha)
+    return -(1.0 - alpha) / (n - 1)
 
 
 def converge(
@@ -174,9 +158,9 @@ def converge(
 ) -> ConvergenceOutcome:
     """Iterate until the orbit lands within ``eps`` of uniform (max norm),
     revisits an earlier distribution, or exhausts ``max_iter`` steps. By
-    the paper's theorem a linear negator (yager and uniform included) with
-    ``|a| = (1 - alpha)/(n - 1) < 1`` converges from every start, so its
-    orbit is never tested for a cycle.
+    the paper's theorem a linear negator (yager and uniform included) whose
+    ``contraction_factor(n, alpha)`` is below 1 in absolute value converges
+    from every start, so its orbit is never tested for a cycle.
 
     Each step is compared with the step two before it: period 2 is the only
     cycle the shipped families can produce, and this finds it however late
@@ -220,7 +204,7 @@ def converge(
     lo, hi, n = current._lo, current._hi, len(current.values)
     u = 1.0 / n
     alpha = _linear_alpha(spec)
-    cycles = alpha is None or 1.0 - alpha >= n - 1
+    cycles = alpha is None or abs(contraction_factor(n, alpha)) >= 1.0
     if hi - u < eps and u - lo < eps:
         return Converged(0, current)
     before, previous, last_gap, t = None, current, None, _TOL_EQ

@@ -211,7 +211,7 @@ def _linear_alpha(spec: NegatorSpec) -> float | None:
 # The spec classes are the family table. A family's spec text is its
 # lowercased class name, followed by ``:<field>=<float>`` when its
 # dataclass has a parameter field, so renaming either changes the syntax.
-_FAMILIES = (Yager, Uniform, Linear, Tsallis, Involutive)
+_FAMILIES = NegatorSpec.__args__
 
 _SPEC_SYNTAX = ", ".join(
     family.__name__.lower() + "".join(f":{f.name}=<float>" for f in fields(family))

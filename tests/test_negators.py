@@ -233,11 +233,6 @@ class TestFailedNegation:
 
 
 class TestNegateExamples:
-    def test_involutive_worked_example(self):
-        q = negate(Involutive(), EXAMPLE)
-        want = (0.3, 0.2, 0.25, 0.1, 0.15)
-        assert max(abs(a - b) for a, b in zip(q, want)) <= 1e-12
-
     def test_yager_point_dist(self):
         q = negate(Yager(), point_dist(5, 1))
         want = (0.0, 0.25, 0.25, 0.25, 0.25)
@@ -271,6 +266,8 @@ class TestNegateExamples:
     def test_non_spec_rejected(self, non_spec):
         with pytest.raises(TypeError, match="^not a negator spec: "):
             negate(non_spec, EXAMPLE)
+        with pytest.raises(TypeError, match="^not a negator spec: "):
+            format_negator(non_spec)
 
 
 def _pointwise(spec, d):
@@ -424,18 +421,6 @@ class TestPdIndependentIdentities:
             n0 = linear_point(0.0, n, alpha)
             assert abs(n0 - (1.0 - n1) / (n - 1)) <= 1e-12
 
-    def test_value_ranges_on_grid(self):
-        """p >= 1/n maps into [0, 1/n]; p <= 1/n maps into [1/n, 1/(n-1)]."""
-        for n in range(2, 11):
-            for alpha in ALPHA_GRID:
-                for i in range(101):
-                    p = i / 100
-                    q = linear_point(p, n, alpha)
-                    if p >= 1.0 / n:
-                        assert -1e-12 <= q <= 1.0 / n + 1e-12
-                    if p <= 1.0 / n:
-                        assert 1.0 / n - 1e-12 <= q <= 1.0 / (n - 1) + 1e-12
-
     @given(dists(min_n=2, max_n=10))
     def test_representation_equivalence(self, d):
         """The alpha, N(1), and N(0) forms compute the same map."""
@@ -472,12 +457,6 @@ class TestInvolutiveStructure:
         assert abs(q._hi - d._hi / denom) <= 1e-12
         assert abs(q._lo - d._lo / denom) <= 1e-12
         assert abs(q._hi + q._lo - mp / denom) <= 1e-12
-
-    @given(dists(min_n=2, max_n=10))
-    @settings(max_examples=500)
-    def test_involution(self, d):
-        back = negate(Involutive(), negate(Involutive(), d))
-        assert max_abs_diff(d, back) <= 1e-9
 
     def test_point_mass_round_trip_stays_in_range(self):
         # First step lands on 1/3 thrice, a sum an ulp off 1; the second

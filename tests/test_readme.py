@@ -23,7 +23,7 @@ PUBLIC = {
     "negate", "parse_negator",
     "format_negator",
     # dynamics
-    "OrbitStep", "OrbitTrace", "ContractionFactor", "Converged",
+    "OrbitStep", "OrbitTrace", "Converged",
     "Oscillating", "MaxIterReached", "LeftDomain", "ConvergenceOutcome",
     "iterate", "linear_power_point", "contraction_factor", "converge",
     "orbit_csv",
