@@ -15,7 +15,6 @@ from pdnegate import (
     Linear,
     LeftDomain,
     NegatorSyntaxError,
-    RangeError,
     SimplexError,
     SumError,
     Tsallis,
