@@ -12,6 +12,12 @@ both hold together exactly at involutive points. Strict contraction
 additionally requires r strictly inside the first bracket, which can only
 be asked away from the fixed value 1/n where the brackets collapse.
 
+For yager, uniform and linear the paper's linear theorem settles these:
+q - 1/n = a*(p - 1/n) and r - 1/n = a**2*(p - 1/n), with a in [-1, 0]
+the ``contraction_factor``. So every p is contracting; one other than
+1/n is strictly contracting when 0 < |a| < 1, and expanding and
+involutive only when |a| = 1. ``classify`` reads these flags from a.
+
 For the families that read the whole distribution, the second
 application is a *different* scalar map (its context is the negated
 distribution), so the pointwise brackets above lose their dichotomy and
@@ -50,7 +56,7 @@ from .simplex import (
     max_abs_diff,
     uniform_dist,
 )
-from .negators import Involutive, NegatorSpec, _linear_alpha, negate
+from .negators import Involutive, NegatorSpec, _linear_alpha, contraction_factor, negate
 
 __all__ = [
     "PointVerdict",
@@ -69,7 +75,7 @@ class PointVerdict:
     """Bracket flags for one orbit triple. In its JSON form (see
     ``cli._jsonable``) the four flags sit under ``flags``.
 
-    For pointwise classification the slots hold a probability value, its
+    For the linear families the slots hold a probability value, its
     image, and its second image. For distribution-level classification
     (the families that read the whole distribution) they hold the
     max-norm distances to uniform of P, NOT(P), NOT(NOT(P)).
@@ -94,7 +100,7 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class ClassificationReport:
-    """Aggregate verdict over sampled points, with up to three witnesses.
+    """A family's verdict at length ``n``, with up to three witnesses.
     Its JSON form names ``sample_count`` ``samples``, as ``classify`` does."""
 
     spec: NegatorSpec
@@ -109,22 +115,6 @@ class InvolutionCheck(NamedTuple):
     max_error: float
 
 
-def _point_verdict(p: float, np_: float, nnp: float, n: int) -> tuple:
-    """``PointVerdict``'s fields, in its order, as a plain tuple."""
-    t = _TOL_EQ
-    lo_c, hi_c = min(p, np_), max(p, np_)
-    lo_e, hi_e = min(np_, nnp), max(np_, nnp)
-    return (
-        p,
-        np_,
-        nnp,
-        lo_c - t <= nnp <= hi_c + t,
-        abs(p - 1.0 / n) > t and lo_c + t < nnp < hi_c - t,
-        lo_e - t <= p <= hi_e + t,
-        abs(nnp - p) <= t,
-    )
-
-
 def _dist_verdict(d0: float, d1: float, d2: float, returned: bool) -> tuple:
     """``PointVerdict``'s fields, in its order, as a plain tuple."""
     t = _TOL_EQ
@@ -132,13 +122,13 @@ def _dist_verdict(d0: float, d1: float, d2: float, returned: bool) -> tuple:
 
 
 # Positions of PointVerdict's fields in the per-sample flag tuples.
-_P, _CONTRACTING, _STRICT, _EXPANDING, _INVOLUTIVE = 0, 3, 4, 5, 6
+_P, _CONTRACTING, _EXPANDING, _INVOLUTIVE = 0, 3, 5, 6
 _WITNESSES = 3  # the most witnesses a report keeps
 
 
-def _judge(verdicts: list[tuple], fixed: float) -> tuple[Verdict, tuple]:
-    """The verdict over the per-sample tuples and its witnesses, as
-    ``classify`` states them; ``fixed`` is the first slot's fixed value."""
+def _judge(verdicts: list[tuple]) -> tuple[Verdict, tuple]:
+    """The verdict over the per-start distribution-level tuples and its
+    witnesses, as ``classify`` states them."""
 
     def first(pred, count=_WITNESSES):
         return list(islice(filter(pred, verdicts), count))
@@ -146,15 +136,9 @@ def _judge(verdicts: list[tuple], fixed: float) -> tuple[Verdict, tuple]:
     if all(v[_INVOLUTIVE] for v in verdicts):
         verdict, picks = Verdict.INVOLUTIVE, verdicts[:_WITNESSES]
     elif all(v[_CONTRACTING] for v in verdicts):
-        # Strictness implies being away from the fixed point, so with no
-        # lead witness the verdict is strict exactly when some sample is.
-        picks = first(lambda v: abs(v[_P] - fixed) > _TOL_EQ and not v[_STRICT], 1)
-        strict = [] if picks else first(lambda v: v[_STRICT])
-        if strict:
-            verdict, picks = Verdict.STRICTLY_CONTRACTING, strict
-        else:
-            verdict = Verdict.CONTRACTING
-            picks += first(lambda v: v not in picks, _WITNESSES - len(picks))
+        # Lead with a start away from uniform, if there is one.
+        verdict, picks = Verdict.CONTRACTING, first(lambda v: v[_P] > _TOL_EQ, 1)
+        picks += first(lambda v: v not in picks, _WITNESSES - len(picks))
     elif all(v[_EXPANDING] for v in verdicts):
         verdict, picks = Verdict.EXPANDING, first(lambda v: not v[_INVOLUTIVE])
     else:
@@ -166,47 +150,59 @@ def _judge(verdicts: list[tuple], fixed: float) -> tuple[Verdict, tuple]:
 
 
 def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> ClassificationReport:
-    """Classify a negator family at length ``n`` from sampled evidence.
+    """Classify a negator family at length ``n``.
 
-    Pointwise families are sampled on a fixed 101-point grid plus
-    ``samples`` seeded random values. Distribution-dependent families are
-    sampled as ``samples`` whole random distributions (the involutive
-    family, whose verdict the paper's theorem settles, as only its three
+    For yager, uniform and linear, ``a = contraction_factor(n, alpha)``
+    decides (see the module docstring): involutive when |a| = 1,
+    contracting when a = 0, else strictly contracting. The witnesses are
+    0, 0.01 and 0.02, or for a strict verdict the first three i/100 away
+    from 1/n, with ``negate``'s images and the theorem's flags. Nothing is
+    sampled: ``seed`` is not read, and ``samples`` need only be >= 1.
+
+    The families that read the whole distribution are sampled as
+    ``samples`` whole random distributions (the involutive family, whose
+    verdict the paper's involution theorem settles, as only its three
     witnesses). Each gives a distribution-level verdict from the max-norm
     distances to uniform along (P, NOT(P), NOT(NOT(P))) and an involution
     check (see the module docstring for why pointwise brackets are not
     usable there). The involution check compares the first coordinates
     first: a miss there decides it, and only a hit scans the rest.
 
-    Each per-sample verdict is kept as a plain tuple of ``PointVerdict``'s
+    Each per-start verdict is kept as a plain tuple of ``PointVerdict``'s
     fields; only the witnesses, at most three, become ``PointVerdict``s.
-    Each is the first sample in sampling order of its kind: for involutive,
-    any; for strictly contracting, a strict one; for contracting, one away
-    from the fixed point (1/n, or uniform at the distribution level) that
-    is not strict, if there is one, then any others; for expanding, one
-    that is not involutive; for mixed, one each that is contracting only,
-    expanding only, and neither.
+    Each is the first start in sampling order of its kind: for involutive,
+    any; for contracting, one away from uniform, if there is one, then any
+    others; for expanding, one that is not involutive; for mixed, one each
+    that is contracting only, expanding only, and neither.
     """
     _check_length(n)
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     alpha = _linear_alpha(spec)
-    rng = random.Random(seed)
-
-    verdicts: list[tuple] = []
     if alpha is not None:
-        # negate's operation order, so the same bits. The 101 even grid
-        # points hit 0, 1 and the fixed point 1/n for common n.
-        a, w, d = alpha / n, 1.0 - alpha, n - 1.0
-        for p in [i / 100 for i in range(101)] + [rng.random() for _ in range(samples)]:
-            np_ = a + w * (1.0 - p) / d
-            verdicts.append(_point_verdict(p, np_, a + w * (1.0 - np_) / d, n))
+        a = abs(contraction_factor(n, alpha))
+        strict = 0.0 < a < 1.0
+        if strict:
+            verdict = Verdict.STRICTLY_CONTRACTING
+        else:
+            verdict = Verdict.INVOLUTIVE if a == 1.0 else Verdict.CONTRACTING
+        # The grid points are 0.01 apart, so a strict verdict skips at most
+        # one of the first four, the one within the slack of 1/n.
+        grid = [i / 100 for i in range(_WITNESSES + 1)]
+        u, c, w, d = 1.0 / n, alpha / n, 1.0 - alpha, n - 1.0  # negate's order, so its bits
+        witnesses = []
+        for p in [p for p in grid if not strict or abs(p - u) > _TOL_EQ][:_WITNESSES]:
+            np_ = c + w * (1.0 - p) / d
+            nnp, back = c + w * (1.0 - np_) / d, a == 1.0 or p == u
+            witnesses.append(PointVerdict(p, np_, nnp, True, strict, back, back))
     else:
-        # Paper's theorem: N(N(P)) = P / sum(P) exactly (N(P)'s max + min is
+        # Paper's involution theorem: N(N(P)) = P / sum(P) exactly (N(P)'s max + min is
         # mp / (n*mp - sum(P)), mp = max(P) + min(P)). random_dist's sum and each
         # negation's rounding are off by a few 2**-53 whatever n, so every start
         # returns within 2**-48 << _TOL_EQ: INVOLUTIVE, first three witnesses.
         t = _TOL_EQ
+        rng = random.Random(seed)
+        verdicts: list[tuple] = []
         draws = min(samples, _WITNESSES) if type(spec) is Involutive else samples
         for _ in range(draws):
             start = random_dist(n, seed=rng.randrange(2**32))
@@ -223,14 +219,13 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
                     and max_abs_diff(start, twice) <= t,
                 )
             )
-
-    verdict, witnesses = _judge(verdicts, 0.0 if alpha is None else 1.0 / n)
+        verdict, witnesses = _judge(verdicts)
     return ClassificationReport(
         spec=spec,
         n=n,
         sample_count=samples,
         verdict=verdict,
-        witnesses=witnesses,
+        witnesses=tuple(witnesses),
     )
 
 

@@ -23,12 +23,11 @@ from .errors import DomainError
 from .simplex import (
     _TOL_EQ,
     Dist,
-    _check_length,
     _new,
     entropy,
     max_abs_diff,
 )
-from .negators import NegatorSpec, _check_alpha, _linear_alpha, negate
+from .negators import NegatorSpec, _linear_alpha, contraction_factor, negate
 
 __all__ = [
     "OrbitStep",
@@ -138,16 +137,6 @@ def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     return 1.0 / n + a**k * (p - 1.0 / n)
-
-
-def contraction_factor(n: int, alpha: float) -> float:
-    """Per-step scaling of the offset from 1/n under the linear negator:
-    -(1 - alpha)/(n - 1), always in [-1/(n-1), 0]. Orbits converge iff
-    its absolute value is below 1, which fails exactly for n = 2 with
-    alpha = 0."""
-    _check_length(n)
-    _check_alpha(alpha)
-    return -(1.0 - alpha) / (n - 1)
 
 
 def converge(

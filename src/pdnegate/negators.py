@@ -32,7 +32,7 @@ from .errors import (
     RangeError,
     SumError,
 )
-from .simplex import Dist, _accepted
+from .simplex import Dist, _accepted, _check_length
 
 __all__ = [
     "Yager",
@@ -206,6 +206,16 @@ def _linear_alpha(spec: NegatorSpec) -> float | None:
     if family is Tsallis or family is Involutive:
         return None
     raise TypeError(f"not a negator spec: {spec!r}")
+
+
+def contraction_factor(n: int, alpha: float) -> float:
+    """Per-step scaling of the offset from 1/n under the linear negator:
+    -(1 - alpha)/(n - 1), always in [-1/(n-1), 0]. Orbits converge iff
+    its absolute value is below 1, which fails exactly for n = 2 with
+    alpha = 0."""
+    _check_length(n)
+    _check_alpha(alpha)
+    return -(1.0 - alpha) / (n - 1)
 
 
 # The spec classes are the family table. A family's spec text is its

@@ -17,8 +17,12 @@ match bit for bit. ``reference_converge`` is ``converge`` with its
 recurrence test written plainly, comparing whole distributions at every
 step; the library's must give the same outcomes bit for bit.
 ``reference_classify`` is ``classify`` building a ``PointVerdict`` for
-every sample and picking witnesses from the whole list; the library's
-must give equal reports. Both read a spec's linear weight through their
+every sample and picking witnesses from the whole list. For the linear
+families it keeps the sampled brackets that ``classify`` replaced by the
+linear theorem. The two give equal reports outside the brackets' slack
+band: where ``|a|`` or ``1 - |a|`` times some sample's ``|p - 1/n|`` is
+within about ``TOL_EQ``, with ``a = contraction_factor(n, alpha)``, the
+slack swallows a bracket. Both read a spec's linear weight through their
 own ``_reference_alpha``, and ``reference_classify`` draws its own grid,
 maps it with ``linear_point`` and samples with ``expovariate_random_dist``,
 so neither shares a helper with the code it checks.

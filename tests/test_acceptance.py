@@ -38,9 +38,13 @@ from pdnegate import (
     random_dist,
     uniform_dist,
 )
-from pdnegate.analysis import PointVerdict, _point_verdict
-
-from oracles import involutive_point, linear_point, yager_point, yager_power_point
+from oracles import (
+    _reference_point_verdict,
+    involutive_point,
+    linear_point,
+    yager_point,
+    yager_power_point,
+)
 
 EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 ALPHAS_11 = [i / 10 for i in range(11)]
@@ -182,8 +186,9 @@ def test_criterion_6_ranges_and_fixed_points():
 
 def test_criterion_7_strict_contraction():
     """Non-trivial linear negators are strictly contracting at every
-    sampled value away from 1/n; the constant negator is contracting but
-    never strictly (its second image sits on the bracket edge)."""
+    sampled value away from 1/n, and classify says so; the constant
+    negator is contracting but never strictly (its second image sits on
+    the bracket edge)."""
     with criterion("7 strict contraction for non-trivial linear"):
         for alpha in (0.0, 0.25, 0.5, 0.75):
             for n in range(3, 11):
@@ -194,13 +199,15 @@ def test_criterion_7_strict_contraction():
                     if abs(p - 1.0 / n) <= 1e-9:
                         continue
                     q = linear_point(p, n, alpha)
-                    v = PointVerdict(*_point_verdict(p, q, linear_point(q, n, alpha), n))
+                    v = _reference_point_verdict(p, q, linear_point(q, n, alpha), n)
                     assert v.strictly_contracting, (alpha, n, p)
+                report = classify(Linear(alpha), n, samples=1, seed=0)
+                assert report.verdict is Verdict.STRICTLY_CONTRACTING
 
         for n in (2, 4, 7):
             report = classify(Uniform(), n, samples=100, seed=42)
             assert report.verdict is Verdict.CONTRACTING
-        v = PointVerdict(*_point_verdict(0.9, 0.25, 0.25, 4))
+        v = _reference_point_verdict(0.9, 0.25, 0.25, 4)
         assert v.contracting and not v.strictly_contracting
 
 

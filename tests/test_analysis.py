@@ -1,10 +1,13 @@
 """Classification, involution checks, fixed points, axiom oracle."""
 
 import math
+import random
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pdnegate import (
     DomainError,
@@ -27,13 +30,15 @@ from pdnegate import (
 
 from pdnegate import analysis
 
-from conftest import NON_SPECS, dists
+from conftest import NON_SPECS, dists, pointwise_specs
 from oracles import (
     TOL_EQ,
+    _reference_point_verdict,
     expovariate_random_dist,
     involutive_point,
     linear_point,
     negation_axioms_check,
+    reference_classify,
     yager_point,
 )
 
@@ -42,9 +47,9 @@ EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 
 def classify_point(f, p, n):
     """The bracket flags of ``p`` under the value map ``f``, applied
-    twice, as ``classify`` judges its grid points."""
+    twice."""
     np_ = f(p)
-    return analysis.PointVerdict(*analysis._point_verdict(p, np_, f(np_), n))
+    return _reference_point_verdict(p, np_, f(np_), n)
 
 
 class TestClassifyPoint:
@@ -127,6 +132,64 @@ class TestClassify:
             assert len(draws) == drawn, (spec, samples)
             assert r.sample_count == samples
             assert r.verdict is verdict
+
+    def test_linear_families_draw_nothing(self, monkeypatch):
+        # The linear theorem decides, so no generator is seeded; tsallis
+        # seeds one for the run and one per start.
+        seeded = []
+
+        class Counted(random.Random):
+            def __init__(self, seed):
+                seeded.append(seed)
+                super().__init__(seed)
+
+        monkeypatch.setattr(analysis, "random", SimpleNamespace(Random=Counted))
+        for spec in (Yager(), Uniform(), Linear(0.0), Linear(0.5), Linear(1.0)):
+            for n in (2, 3, 100):
+                classify(spec, n, samples=50, seed=42)
+        assert seeded == []
+        classify(Tsallis(2.0), 5, samples=4, seed=42)
+        assert len(seeded) == 5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        spec=pointwise_specs(),
+        n=st.integers(min_value=2, max_value=2000),
+        runs=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=500),
+                st.integers(min_value=0, max_value=2**32 - 1),
+            ),
+            min_size=2,
+            max_size=2,
+            unique=True,
+        ),
+    )
+    def test_linear_report_reads_neither_seed_nor_samples(self, spec, n, runs):
+        a, b = (classify(spec, n, samples, seed) for samples, seed in runs)
+        assert (a.sample_count, b.sample_count) == tuple(s for s, _ in runs)
+        assert replace(a, sample_count=0) == replace(b, sample_count=0)
+
+    # The sampled brackets' 1e-9 slack reads these as involutive (|a| is
+    # 1 - 1e-13) or contracting (|a| is 5e-10 or 1e-6), as
+    # reference_classify, which keeps them, still does; the theorem says
+    # strictly contracting.
+    @pytest.mark.parametrize(
+        "alpha, n, bracket_verdict",
+        [
+            (1e-13, 2, Verdict.INVOLUTIVE),
+            (1 - 1e-9, 3, Verdict.CONTRACTING),
+            (0.999, 1000, Verdict.CONTRACTING),
+        ],
+    )
+    def test_theorem_decides_inside_the_slack_band(self, alpha, n, bracket_verdict):
+        r = classify(Linear(alpha), n, samples=50, seed=0)
+        assert r.verdict is Verdict.STRICTLY_CONTRACTING
+        assert len(r.witnesses) == 3
+        for w in r.witnesses:
+            assert w.contracting and w.strictly_contracting
+            assert not (w.expanding or w.involutive)
+        assert reference_classify(Linear(alpha), n, 50, 0).verdict is bracket_verdict
 
     def test_linear_alpha0_n2_involutive(self):
         r = classify(Linear(0.0), 2, samples=100, seed=42)
@@ -215,7 +278,7 @@ class TestClassify:
         at_uniform = analysis._dist_verdict(0.0, 0.0, 0.0, True)
         at_one_nth = analysis._dist_verdict(1 / 3, 0.2, 0.1, False)
         other = analysis._dist_verdict(0.2, 0.1, 0.05, False)
-        verdict, witnesses = analysis._judge([at_uniform, at_one_nth, other], 0.0)
+        verdict, witnesses = analysis._judge([at_uniform, at_one_nth, other])
         assert verdict is Verdict.CONTRACTING
         assert witnesses == tuple(
             analysis.PointVerdict(*v) for v in (at_one_nth, at_uniform, other)
@@ -283,6 +346,12 @@ class TestFixedPoint:
     def test_length_domain(self):
         with pytest.raises(DomainError):
             fixed_point(Yager(), 1)
+
+    def test_map_that_moves_uniform_raises(self, monkeypatch):
+        # Every shipped family fixes uniform, so a stand-in negate moves it.
+        monkeypatch.setattr(analysis, "negate", lambda spec, dist: point_dist(dist.n, 1))
+        with pytest.raises(ArithmeticError, match=r"^Yager\(\) does not fix the uniform"):
+            fixed_point(Yager(), 3)
 
 
 class TestNegationAxiomsCheck:

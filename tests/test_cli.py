@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdnegate import Tsallis, make_dist
+from pdnegate import SumError, Tsallis, make_dist, negators
 from pdnegate.cli import run
 from pdnegate.negators import _SPEC_SYNTAX
 
@@ -332,6 +332,16 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_rejected_output_is_domain_error(self, capsys, monkeypatch):
+        # A SumError from the input is exit 1; from negate's output, exit 2.
+        def reject(values, lo, hi):
+            raise SumError("off the simplex")
+
+        monkeypatch.setattr(negators, "_accepted", reject)
+        code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", "0.2,0.8")
+        assert (code, out) == (2, "")
+        assert err == "error: negated output fails validation: off the simplex\n"
 
     def test_one_value_dist_is_input_error(self, capsys):
         code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", "1")

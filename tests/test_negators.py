@@ -15,6 +15,7 @@ from pdnegate import (
     Linear,
     LeftDomain,
     NegatorSyntaxError,
+    RangeError,
     SimplexError,
     SumError,
     Tsallis,
@@ -33,6 +34,7 @@ from pdnegate import (
     uniform_dist,
 )
 
+from pdnegate import negators
 from pdnegate.negators import _SPEC_SYNTAX
 
 from conftest import ALPHA_GRID, NON_SPECS, all_specs, dists, positive_dists
@@ -220,6 +222,18 @@ class TestFailedNegation:
             assert negate(Involutive(), _near_complement(10_000, ulps)).values == (
                 (1.0,) + (0.0,) * 9999
             )
+
+    @pytest.mark.parametrize("error", [SumError, RangeError])
+    def test_rejected_output_is_domain_error(self, monkeypatch, error):
+        # No family's output is known to fail validation, so the validator
+        # is made to reject one.
+        def reject(values, lo, hi):
+            raise error("off the simplex")
+
+        monkeypatch.setattr(negators, "_accepted", reject)
+        with pytest.raises(DomainError, match="^negated output fails validation: off the") as info:
+            negate(Yager(), make_dist([0.2, 0.8]))
+        assert type(info.value.__cause__) is error
 
     def test_converge_ends_in_left_domain(self):
         # The k < 0 orbit reaches the vertex (1, 0) at step 5, whose zero
