@@ -145,7 +145,6 @@ def _judge(verdicts: list[tuple]) -> tuple[Verdict, tuple]:
         verdict = Verdict.MIXED
         picks = first(lambda v: v[_CONTRACTING] and not v[_EXPANDING], 1)
         picks += first(lambda v: v[_EXPANDING] and not v[_CONTRACTING], 1)
-        picks += first(lambda v: not (v[_CONTRACTING] or v[_EXPANDING]), 1)
     return verdict, tuple(PointVerdict(*v) for v in picks)
 
 
@@ -172,8 +171,9 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
     fields; only the witnesses, at most three, become ``PointVerdict``s.
     Each is the first start in sampling order of its kind: for involutive,
     any; for contracting, one away from uniform, if there is one, then any
-    others; for expanding, one that is not involutive; for mixed, one each
-    that is contracting only, expanding only, and neither.
+    others; for expanding, one that is not involutive; for mixed, one
+    that is contracting only and one that is expanding only. No start is
+    neither (see the module docstring).
     """
     _check_length(n)
     if samples < 1:

@@ -53,35 +53,6 @@ def classify_point(f, p, n):
 
 
 class TestClassifyPoint:
-    def test_yager_strict_contraction_at_one(self):
-        v = classify_point(lambda p: yager_point(p, 3), 1.0, 3)
-        assert v.np == pytest.approx(0.0, abs=1e-15)
-        assert v.nnp == pytest.approx(0.5, abs=1e-15)
-        assert v.contracting and v.strictly_contracting
-        assert not v.involutive
-
-    def test_yager_n2_involutive(self):
-        v = classify_point(lambda p: yager_point(p, 2), 0.3, 2)
-        assert v.nnp == pytest.approx(0.3, abs=1e-12)
-        assert v.involutive
-        assert v.contracting and v.expanding
-
-    def test_uniform_contracting_but_not_strict(self):
-        v = classify_point(lambda p: 0.25, 0.9, 4)
-        assert v.np == 0.25 and v.nnp == 0.25
-        assert v.contracting
-        assert not v.strictly_contracting
-        assert not v.involutive
-
-    def test_second_evaluator_for_context_rewriting(self):
-        """The involutive family's second application must use the
-        negated distribution's max and min; with that rewriting every value
-        returns to itself."""
-        once = negate(Involutive(), EXAMPLE)
-        for p in EXAMPLE:
-            back = involutive_point(involutive_point(p, EXAMPLE), once)
-            assert abs(back - p) <= TOL_EQ
-
     @given(dists(min_n=2, max_n=8))
     @settings(max_examples=200)
     def test_dichotomy_for_pointwise_families(self, d):
@@ -107,10 +78,6 @@ class TestClassifyPoint:
 
 
 class TestClassify:
-    def test_linear_strictly_contracting(self):
-        r = classify(Linear(0.5), 5, samples=100, seed=42)
-        assert r.verdict is Verdict.STRICTLY_CONTRACTING
-
     def test_involutive_family(self, monkeypatch):
         # The theorem settles the involutive verdict, so classify draws only
         # the starts its witnesses need; tsallis still draws every sample.
@@ -191,18 +158,6 @@ class TestClassify:
             assert not (w.expanding or w.involutive)
         assert reference_classify(Linear(alpha), n, 50, 0).verdict is bracket_verdict
 
-    def test_linear_alpha0_n2_involutive(self):
-        r = classify(Linear(0.0), 2, samples=100, seed=42)
-        assert r.verdict is Verdict.INVOLUTIVE
-
-    def test_yager_by_length(self):
-        assert classify(Yager(), 2, 50, seed=1).verdict is Verdict.INVOLUTIVE
-        for n in (3, 5, 8):
-            assert (
-                classify(Yager(), n, 50, seed=1).verdict
-                is Verdict.STRICTLY_CONTRACTING
-            )
-
     def test_tsallis_positive_k_contracting(self):
         for n in (2, 3, 5, 8):
             r = classify(Tsallis(2.0), n, samples=80, seed=7)
@@ -236,12 +191,6 @@ class TestClassify:
         a = classify(Tsallis(2.0), 4, samples=40, seed=9)
         b = classify(Tsallis(2.0), 4, samples=40, seed=9)
         assert a == b
-
-    def test_witnesses_evidence_verdict(self):
-        r = classify(Yager(), 5, samples=50, seed=2)
-        assert 1 <= len(r.witnesses) <= 3
-        for w in r.witnesses:
-            assert w.strictly_contracting
 
     @NON_SPECS
     def test_parameter_domains(self, non_spec):
@@ -283,6 +232,13 @@ class TestClassify:
         assert witnesses == tuple(
             analysis.PointVerdict(*v) for v in (at_one_nth, at_uniform, other)
         )
+
+    @given(st.tuples(*[st.floats(min_value=0.0, allow_infinity=False)] * 3))
+    def test_dist_level_start_contracts_or_expands(self, ds):
+        # A start that is not contracting has d2 > max(d0, d1) + t >= d0,
+        # so it is expanding: no distribution-level start is neither.
+        v = analysis._dist_verdict(*ds, False)
+        assert v[analysis._CONTRACTING] or v[analysis._EXPANDING]
 
     @pytest.mark.parametrize("n", [2, 3, 5, 100])
     @pytest.mark.parametrize(

@@ -98,18 +98,9 @@ class TestClosedForms:
         assert linear_power_point(1.0, 3, 0.0, 2) == pytest.approx(0.5, abs=1e-15)
         assert yager_power_point(1.0, 3, 2) == pytest.approx(0.5, abs=1e-15)
 
-    def test_yager_one_step_from_zero(self):
-        assert yager_power_point(0.0, 5, 1) == pytest.approx(0.25, abs=1e-15)
-
     def test_alpha_one_collapses_immediately(self):
         for k in (1, 2, 7):
             assert linear_power_point(0.9, 4, 1.0, k) == pytest.approx(0.25, abs=1e-15)
-
-    def test_n2_yager_alternates(self):
-        for k in (0, 2, 4, 10):
-            assert yager_power_point(0.3, 2, k) == pytest.approx(0.3, abs=1e-15)
-        for k in (1, 3, 9):
-            assert yager_power_point(0.3, 2, k) == pytest.approx(0.7, abs=1e-15)
 
     def test_yager_form_matches_linear_form(self):
         rng = random.Random(12)

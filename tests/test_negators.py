@@ -1,4 +1,4 @@
-"""Negator families: single-step values, axioms, parameterizations."""
+"""Negator families: single-step values, axioms, syntax."""
 
 import math
 from fractions import Fraction
@@ -164,6 +164,13 @@ class TestInvalidHandBuiltDist:
             with pytest.raises(SimplexError):
                 call(Dist(values))
 
+    def test_hand_built_zero_dist_raises_sum_error(self):
+        # sum(mp - p_j) > 0 for every valid Dist (TestStats in
+        # test_simplex.py); a hand-built Dist that is not valid is rejected
+        # as make_dist would reject its values, before any arithmetic.
+        with pytest.raises(SumError, match="sum to 0.0"):
+            negate(Involutive(), Dist((0.0, 0.0)))
+
 
 def _near_complement(n, ulps):
     """(0, m, ..., m) with m ``ulps`` ulps below 1/(n - 1)."""
@@ -323,82 +330,6 @@ class TestKernelMatchesPointwise:
         assert _pointwise(Involutive(), q) == (0.0, 0.0, 0.0, 1.0)
 
 
-class TestPointwiseValues:
-    def test_yager_values(self):
-        assert yager_point(1.0, 3) == 0.0
-        assert yager_point(0.9, 5) == pytest.approx(0.025, abs=1e-15)
-        for n in range(2, 8):
-            assert yager_point(1.0 / n, n) == pytest.approx(1.0 / n, abs=1e-15)
-
-    def test_linear_values(self):
-        assert linear_point(0.37, 4, 1.0) == pytest.approx(0.25, abs=1e-15)
-        assert linear_point(0.9, 5, 0.0) == pytest.approx(0.025, abs=1e-15)
-        assert linear_point(0.0, 2, 0.5) == pytest.approx(0.75, abs=1e-15)
-
-    def test_involutive_values(self):
-        assert involutive_point(0.1, EXAMPLE) == pytest.approx(0.3, abs=1e-12)
-        assert involutive_point(0.2, EXAMPLE) == pytest.approx(0.2, abs=1e-12)
-
-    def test_involutive_fixes_one_over_n(self):
-        for seed in range(20):
-            d = random_dist(5, seed=seed)
-            assert involutive_point(0.2, d) == pytest.approx(0.2, abs=1e-12)
-
-    def test_involutive_coincides_with_yager_when_mp_is_one(self):
-        d = point_dist(4, 2)
-        assert d._hi + d._lo == 1.0
-        for p in (0.0, 0.25, 0.5, 1.0):
-            assert involutive_point(p, d) == pytest.approx(
-                yager_point(p, 4), abs=1e-12
-            )
-
-    def test_hand_built_zero_dist_raises_sum_error(self):
-        # sum(mp - p_j) > 0 for every valid Dist (TestStats in
-        # test_simplex.py); a hand-built Dist that is not valid is rejected
-        # as make_dist would reject its values, before any arithmetic.
-        with pytest.raises(SumError, match="sum to 0.0"):
-            negate(Involutive(), Dist((0.0, 0.0)))
-
-
-class TestLinearParams:
-    """The paper writes a linear negator by alpha, by n1 = N(1) or by
-    n0 = N(0): n1 = alpha/n, n0 = alpha/n + (1 - alpha)/(n - 1), so
-    alpha = n*n1 = n*(1 - (n - 1)*n0). These check the ``linear_point`` oracle's
-    values at 1 and 0 against those forms."""
-
-    def test_alpha_zero_matches_yager(self):
-        assert linear_point(1.0, 5, 0.0) == pytest.approx(0.0, abs=1e-15)
-        assert linear_point(0.0, 5, 0.0) == pytest.approx(0.25, abs=1e-15)
-
-    def test_alpha_one_is_constant(self):
-        assert linear_point(1.0, 5, 1.0) == pytest.approx(0.2, abs=1e-15)
-        assert linear_point(0.0, 5, 1.0) == pytest.approx(0.2, abs=1e-15)
-
-    def test_from_n0(self):
-        alpha = 3 * (1.0 - 2 * 0.5)  # n0 = 0.5 at n = 3
-        assert alpha == pytest.approx(0.0, abs=1e-15)
-        assert linear_point(0.0, 3, alpha) == pytest.approx(0.5, abs=1e-15)
-        assert linear_point(1.0, 3, alpha) == pytest.approx(0.0, abs=1e-15)
-
-    def test_from_n1(self):
-        alpha = 4 * 0.25  # n1 = 0.25 at n = 4
-        assert alpha == pytest.approx(1.0, abs=1e-15)
-        assert linear_point(1.0, 4, alpha) == pytest.approx(0.25, abs=1e-15)
-
-    @given(dists(min_n=2, max_n=10))
-    def test_consistency_identities(self, d):
-        """n1 = alpha/n, n0 = alpha/n + (1-alpha)/(n-1), n1 = 1-(n-1)n0,
-        and alpha comes back from n0."""
-        n = d.n
-        for alpha in ALPHA_GRID:
-            n1 = linear_point(1.0, n, alpha)
-            n0 = linear_point(0.0, n, alpha)
-            assert abs(n1 - alpha / n) <= 1e-12
-            assert abs(n0 - (alpha / n + (1 - alpha) / (n - 1))) <= 1e-12
-            assert abs(n1 - (1 - (n - 1) * n0)) <= 1e-12
-            assert abs(n * (1.0 - (n - 1) * n0) - alpha) <= 1e-9
-
-
 class TestNegationAxioms:
     @given(all_specs(), dists(min_n=2, max_n=8))
     @settings(max_examples=300)
@@ -424,31 +355,6 @@ class TestNegationAxioms:
         assert max_abs_diff(negate(spec, u), u) <= 1e-12
 
 
-class TestPdIndependentIdentities:
-    @given(dists(min_n=2, max_n=10))
-    def test_n0_from_n1(self, d):
-        """N(0) = (1 - N(1))/(n-1) for the pointwise families."""
-        n = d.n
-        for alpha in ALPHA_GRID:
-            n1 = linear_point(1.0, n, alpha)
-            n0 = linear_point(0.0, n, alpha)
-            assert abs(n0 - (1.0 - n1) / (n - 1)) <= 1e-12
-
-    @given(dists(min_n=2, max_n=10))
-    def test_representation_equivalence(self, d):
-        """The alpha, N(1), and N(0) forms compute the same map."""
-        n = d.n
-        for alpha in ALPHA_GRID:
-            n1 = alpha / n
-            n0 = alpha / n + (1 - alpha) / (n - 1)
-            for p in (0.0, 0.21, 0.5, 0.83, 1.0):
-                direct = linear_point(p, n, alpha)
-                via_n1 = n1 + (1 - n1 * n) * (1 - p) / (n - 1)
-                via_n0 = n0 + (1 - n0 * n) * p
-                assert abs(direct - via_n1) <= 1e-12
-                assert abs(direct - via_n0) <= 1e-12
-
-
 class TestTsallisReductions:
     @given(dists(min_n=2, max_n=8))
     @settings(max_examples=200)
@@ -456,6 +362,11 @@ class TestTsallisReductions:
         a = negate(Tsallis(1.0), d)
         b = negate(Yager(), d)
         assert max_abs_diff(a, b) <= 1e-12
+
+    def test_involutive_equals_yager_when_mp_is_one(self):
+        d = point_dist(4, 2)
+        assert d._hi + d._lo == 1.0
+        assert negate(Involutive(), d).values == negate(Yager(), d).values
 
 
 class TestInvolutiveStructure:
@@ -484,8 +395,7 @@ class TestInvolutiveStructure:
     def test_sign_pattern(self, d):
         """Values below 1/n negate to above 1/n and vice versa."""
         n = d.n
-        for p in d:
-            q = involutive_point(p, d)
+        for p, q in zip(d, negate(Involutive(), d)):
             if p < 1.0 / n - 1e-12:
                 assert q > 1.0 / n - 1e-12
             if p > 1.0 / n + 1e-12:
