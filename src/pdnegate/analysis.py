@@ -115,37 +115,35 @@ class InvolutionCheck(NamedTuple):
     max_error: float
 
 
-def _dist_verdict(d0: float, d1: float, d2: float, returned: bool) -> tuple:
-    """``PointVerdict``'s fields, in its order, as a plain tuple."""
+def _dist_verdict(d0: float, d1: float, d2: float, returned: bool) -> PointVerdict:
+    """One start's distribution-level flags (see the module docstring)."""
     t = _TOL_EQ
-    return (d0, d1, d2, d2 <= max(d0, d1) + t, False, d0 <= max(d1, d2) + t, returned)
+    return PointVerdict(d0, d1, d2, d2 <= max(d0, d1) + t, False, d0 <= max(d1, d2) + t, returned)
 
 
-# Positions of PointVerdict's fields in the per-sample flag tuples.
-_P, _CONTRACTING, _EXPANDING, _INVOLUTIVE = 0, 3, 5, 6
 _WITNESSES = 3  # the most witnesses a report keeps
 
 
-def _judge(verdicts: list[tuple]) -> tuple[Verdict, tuple]:
-    """The verdict over the per-start distribution-level tuples and its
+def _judge(verdicts: list[PointVerdict]) -> tuple[Verdict, list[PointVerdict]]:
+    """The verdict over the per-start distribution-level verdicts and its
     witnesses, as ``classify`` states them."""
 
     def first(pred, count=_WITNESSES):
         return list(islice(filter(pred, verdicts), count))
 
-    if all(v[_INVOLUTIVE] for v in verdicts):
+    if all(v.involutive for v in verdicts):
         verdict, picks = Verdict.INVOLUTIVE, verdicts[:_WITNESSES]
-    elif all(v[_CONTRACTING] for v in verdicts):
+    elif all(v.contracting for v in verdicts):
         # Lead with a start away from uniform, if there is one.
-        verdict, picks = Verdict.CONTRACTING, first(lambda v: v[_P] > _TOL_EQ, 1)
+        verdict, picks = Verdict.CONTRACTING, first(lambda v: v.p > _TOL_EQ, 1)
         picks += first(lambda v: v not in picks, _WITNESSES - len(picks))
-    elif all(v[_EXPANDING] for v in verdicts):
-        verdict, picks = Verdict.EXPANDING, first(lambda v: not v[_INVOLUTIVE])
+    elif all(v.expanding for v in verdicts):
+        verdict, picks = Verdict.EXPANDING, first(lambda v: not v.involutive)
     else:
         verdict = Verdict.MIXED
-        picks = first(lambda v: v[_CONTRACTING] and not v[_EXPANDING], 1)
-        picks += first(lambda v: v[_EXPANDING] and not v[_CONTRACTING], 1)
-    return verdict, tuple(PointVerdict(*v) for v in picks)
+        picks = first(lambda v: v.contracting and not v.expanding, 1)
+        picks += first(lambda v: v.expanding and not v.contracting, 1)
+    return verdict, picks
 
 
 def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> ClassificationReport:
@@ -167,8 +165,7 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
     usable there). The involution check compares the first coordinates
     first: a miss there decides it, and only a hit scans the rest.
 
-    Each per-start verdict is kept as a plain tuple of ``PointVerdict``'s
-    fields; only the witnesses, at most three, become ``PointVerdict``s.
+    The witnesses are at most three of the per-start ``PointVerdict``s.
     Each is the first start in sampling order of its kind: for involutive,
     any; for contracting, one away from uniform, if there is one, then any
     others; for expanding, one that is not involutive; for mixed, one
@@ -202,7 +199,7 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
         # returns within 2**-48 << _TOL_EQ: INVOLUTIVE, first three witnesses.
         t = _TOL_EQ
         rng = random.Random(seed)
-        verdicts: list[tuple] = []
+        verdicts: list[PointVerdict] = []
         draws = min(samples, _WITNESSES) if type(spec) is Involutive else samples
         for _ in range(draws):
             start = random_dist(n, seed=rng.randrange(2**32))

@@ -7,7 +7,8 @@ distributions, negator syntax errors), 2 parameter domain errors (alpha or
 k outside the family's domain, bad eps, and the like).
 
 Distributions are passed as comma-separated floats, as a JSON number
-array, or as ``@path`` naming a JSON file. The JSON form is exactly what
+array, or as ``@path`` naming a file that holds either form (a leading
+UTF-8 byte order mark is skipped). The JSON form is exactly what
 ``negate`` prints, so its output can be piped straight back in.
 """
 
@@ -62,7 +63,7 @@ def _jsonable(value: object) -> object:
 
 def _read_dist(text: str) -> Dist:
     if text.startswith("@"):
-        with open(text[1:], "r", encoding="utf-8") as fh:
+        with open(text[1:], "r", encoding="utf-8-sig") as fh:
             text = fh.read()
     text = text.strip()
     if text.startswith("["):

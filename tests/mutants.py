@@ -1,0 +1,247 @@
+"""Named mutants of the library and its oracles, and the tests that must
+kill each one.
+
+Every entry of ``MUTANTS`` names a file, an exact piece of its text (the
+anchor, which must occur in the file exactly once), the text that
+replaces it, and the tests that must fail once it is replaced. The script
+first runs every named test once on an unmutated copy of ``src/``,
+``tests/`` and ``pyproject.toml``, where all must pass. Then it applies
+each mutant to a fresh temporary copy and runs only that mutant's tests,
+with ``-x -p no:cacheprovider``. A mutant is killed only when pytest
+exits 1, that is, when a test failed; any other exit code means the copy
+did not run (a syntax error, a bad test id, an internal error) and counts
+as a failure. It starts one pytest process at a time, and exits non-zero
+if the unmutated copy fails, an anchor is stale or a mutant survives.
+
+A change that deletes a test names here the mutants that still die
+without it. The file is not collected by pytest. It needs pytest and
+hypothesis; from the repository root:
+
+    python3 tests/mutants.py
+"""
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+TIMEOUT_S = 600  # a mutant that hangs its tests counts as a failure
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+ANALYSIS = "src/pdnegate/analysis.py"
+ORACLES = "tests/oracles.py"
+CRITERION = "tests/test_acceptance.py::test_criterion_{}"
+CLASSIFY = "tests/test_analysis.py::TestClassify::{}"
+DICHOTOMY = "tests/test_analysis.py::TestClassifyPoint::test_dichotomy_for_pointwise_families"
+BIT_IDENTICAL = "tests/test_negators.py::TestKernelMatchesPointwise::test_bit_identical"
+LEAD = CLASSIFY.format("test_dist_level_lead_is_away_from_uniform")
+KIND = CLASSIFY.format("test_dist_level_witnesses_are_of_their_kind")
+
+MUTANTS = [
+    # classify's linear verdict and witnesses, read from the theorem.
+    Mutant(
+        "strict-never", ANALYSIS,
+        "strict = 0.0 < a < 1.0", "strict = False",
+        (CRITERION.format("7_strict_contraction"),),
+    ),
+    Mutant(
+        "never-involutive", ANALYSIS,
+        "Verdict.INVOLUTIVE if a == 1.0", "Verdict.INVOLUTIVE if a > 1.0",
+        (CRITERION.format("5_degenerate_case_honesty"),),
+    ),
+    Mutant(
+        "witness-strict-dropped", ANALYSIS,
+        "PointVerdict(p, np_, nnp, True, strict, back, back)",
+        "PointVerdict(p, np_, nnp, True, False, back, back)",
+        (CLASSIFY.format("test_theorem_decides_inside_the_slack_band"),),
+    ),
+    Mutant(
+        "no-linear-witnesses", ANALYSIS,
+        "> _TOL_EQ][:_WITNESSES]:", "> _TOL_EQ][:0]:",
+        (CLASSIFY.format("test_pointwise_witnesses_are_linear_point"),),
+    ),
+    # The distribution-level flags of one start.
+    Mutant(
+        "dist-expanding-min", ANALYSIS,
+        "d0 <= max(d1, d2) + t", "d0 <= min(d1, d2) + t",
+        (CLASSIFY.format("test_dist_level_start_contracts_or_expands"),),
+    ),
+    # _judge: the verdict over the per-start flags, and its witness picks.
+    Mutant(
+        "judge-involutive-any", ANALYSIS,
+        "if all(v.involutive for v in verdicts):",
+        "if any(v.involutive for v in verdicts):",
+        (LEAD,),
+    ),
+    Mutant(
+        "judge-contracting-any", ANALYSIS,
+        "elif all(v.contracting for v in verdicts):",
+        "elif any(v.contracting for v in verdicts):",
+        (CLASSIFY.format("test_tsallis_negative_k_not_always_expanding"),),
+    ),
+    Mutant(
+        "judge-lead-anywhere", ANALYSIS,
+        "first(lambda v: v.p > _TOL_EQ, 1)", "first(lambda v: True, 1)",
+        (LEAD,),
+    ),
+    Mutant(
+        "judge-rest-repeats-lead", ANALYSIS,
+        "first(lambda v: v not in picks,", "first(lambda v: True,",
+        (LEAD,),
+    ),
+    Mutant(
+        "judge-expanding-any", ANALYSIS,
+        "elif all(v.expanding for v in verdicts):",
+        "elif any(v.expanding for v in verdicts):",
+        (CLASSIFY.format("test_tsallis_negative_k_not_always_expanding"),),
+    ),
+    Mutant(
+        "judge-expanding-keeps-involutive", ANALYSIS,
+        "first(lambda v: not v.involutive)", "first(lambda v: True)",
+        (KIND,),
+    ),
+    Mutant(
+        "judge-mixed-contracting-any", ANALYSIS,
+        "first(lambda v: v.contracting and not v.expanding, 1)",
+        "first(lambda v: v.contracting, 1)",
+        (KIND,),
+    ),
+    Mutant(
+        "judge-mixed-expanding-any", ANALYSIS,
+        "first(lambda v: v.expanding and not v.contracting, 1)",
+        "first(lambda v: v.expanding, 1)",
+        (KIND,),
+    ),
+    # The oracles' pointwise brackets.
+    Mutant(
+        "ref-strict-inclusive", ORACLES,
+        "and lo_c + t < nnp < hi_c - t", "and lo_c - t <= nnp <= hi_c + t",
+        (CRITERION.format("7_strict_contraction"),),
+    ),
+    Mutant(
+        "ref-strict-excludes-p1", ORACLES,
+        "and lo_c + t < nnp < hi_c - t", "and lo_c + t < nnp < hi_c - t and p < 1.0",
+        (CRITERION.format("7_strict_contraction"),),
+    ),
+    Mutant(
+        "ref-involutive-never", ORACLES,
+        "involutive = abs(nnp - p) <= t", "involutive = False",
+        (DICHOTOMY, CLASSIFY.format("test_theorem_decides_inside_the_slack_band")),
+    ),
+    Mutant(
+        "ref-involutive-slack-1e-3", ORACLES,
+        "involutive = abs(nnp - p) <= t", "involutive = abs(nnp - p) <= 1e-3",
+        (DICHOTOMY,),
+    ),
+    # The oracles' values.
+    Mutant(
+        "involutive_point-numerator+1e-6", ORACLES,
+        "return (mp - p) / total", "return (mp - p + 1e-6) / total",
+        (BIT_IDENTICAL, CRITERION.format("6_ranges_and_fixed_points")),
+    ),
+    Mutant(
+        "involutive_point-mp-2max", ORACLES,
+        "mp = max(values) + min(values)", "mp = 2 * max(values)",
+        (BIT_IDENTICAL,),
+    ),
+    Mutant(
+        "linear_point-alpha/(n+1)", ORACLES,
+        "return alpha / n + (1.0 - alpha)", "return alpha / (n + 1) + (1.0 - alpha)",
+        (BIT_IDENTICAL, CRITERION.format("3_closed_form_oracle"),
+         CRITERION.format("6_ranges_and_fixed_points")),
+    ),
+    Mutant(
+        "linear_point-divisor-n", ORACLES,
+        "(1.0 - alpha) * (1.0 - p) / (n - 1)", "(1.0 - alpha) * (1.0 - p) / n",
+        (BIT_IDENTICAL, CRITERION.format("3_closed_form_oracle"),
+         CRITERION.format("6_ranges_and_fixed_points")),
+    ),
+    Mutant(
+        "yager_point-divisor-n", ORACLES,
+        "return (1.0 - p) / (n - 1)", "return (1.0 - p) / n",
+        (BIT_IDENTICAL, CRITERION.format("3_closed_form_oracle"),
+         CRITERION.format("6_ranges_and_fixed_points")),
+    ),
+    Mutant(
+        "yager_power_point-sign", ORACLES,
+        "(-1) ** k * (p - 1.0 / n)", "(-1) ** (k + 1) * (p - 1.0 / n)",
+        (CRITERION.format("3_closed_form_oracle"),
+         "tests/test_dynamics.py::TestClosedForms::test_yager_form_matches_linear_form"),
+    ),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    dest.mkdir()
+    for name in COPIED:
+        if (ROOT / name).is_dir():
+            shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+        else:
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def pytest(copy: Path, tests) -> tuple[int | None, str]:
+    """pytest's exit code on ``tests`` in ``copy`` (None if it timed out),
+    and its output."""
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=f"{copy / 'src'}{os.pathsep + path if path else ''}")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    try:
+        run = subprocess.run(
+            cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
+        )
+    except subprocess.TimeoutExpired:
+        return None, f"timed out after {TIMEOUT_S} s"
+    return run.returncode, run.stdout + run.stderr
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="pdnegate-mutants-") as tmp:
+        base = Path(tmp) / "unmutated"
+        copy_tree(base)
+        tests = list(dict.fromkeys(t for m in MUTANTS for t in m.tests))
+        code, out = pytest(base, tests)
+        if code != 0:
+            print(f"unmutated copy: pytest exited {code}\n{out}")
+            return 1
+        print(f"unmutated copy: the {len(tests)} named tests pass")
+        shutil.rmtree(base)
+
+        failures = 0
+        for m in MUTANTS:
+            copy = Path(tmp) / "mutant"
+            copy_tree(copy)
+            path = copy / m.file
+            text = path.read_text(encoding="utf-8")
+            found = text.count(m.old)
+            if found != 1:
+                code, status = None, f"STALE: anchor found {found} times in {m.file}"
+            else:
+                path.write_text(text.replace(m.old, m.new), encoding="utf-8")
+                code, out = pytest(copy, m.tests)
+                status = {0: "SURVIVED", 1: "killed"}.get(code, f"BROKEN: pytest exited {code}")
+                if code not in (0, 1):
+                    status += "\n" + out
+            shutil.rmtree(copy)
+            failures += code != 1
+            print(f"{m.name}: {status}", flush=True)
+    print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

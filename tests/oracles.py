@@ -16,16 +16,19 @@ stdlib's exponential variates, which the library's ``random_dist`` must
 match bit for bit. ``reference_converge`` is ``converge`` with its
 recurrence test written plainly, comparing whole distributions at every
 step; the library's must give the same outcomes bit for bit.
-``reference_classify`` is ``classify`` building a ``PointVerdict`` for
-every sample and picking witnesses from the whole list. For the linear
-families it keeps the sampled brackets that ``classify`` replaced by the
-linear theorem. The two give equal reports outside the brackets' slack
-band: where ``|a|`` or ``1 - |a|`` times some sample's ``|p - 1/n|`` is
-within about ``TOL_EQ``, with ``a = contraction_factor(n, alpha)``, the
-slack swallows a bracket. Both read a spec's linear weight through their
-own ``_reference_alpha``, and ``reference_classify`` draws its own grid,
-maps it with ``linear_point`` and samples with ``expovariate_random_dist``,
-so neither shares a helper with the code it checks.
+``reference_classify`` is ``classify`` written apart from it. It draws
+its starts with ``expovariate_random_dist``, and all ``samples`` of them
+for the involutive family, where ``classify`` draws only the witnesses.
+It filters the witnesses from the whole list of per-start verdicts, with
+its own third ``mixed`` pick, a start neither contracting nor expanding.
+For the linear families it keeps the sampled brackets that ``classify``
+replaced by the linear theorem. The two give equal reports outside the
+brackets' slack band: where ``|a|`` or ``1 - |a|`` times some sample's
+``|p - 1/n|`` is within about ``TOL_EQ``, with
+``a = contraction_factor(n, alpha)``, the slack swallows a bracket. Both
+read a spec's linear weight through their own ``_reference_alpha``, and
+``reference_classify`` draws its own grid and maps it with
+``linear_point``, so neither shares a helper with the code it checks.
 """
 
 import decimal
@@ -314,8 +317,8 @@ def _reference_witnesses(verdicts, verdict, fixed):
 
 
 def reference_classify(spec, n, samples, seed):
-    """``classify`` with a ``PointVerdict`` built for every sample, and the
-    witnesses filtered from the whole list of them."""
+    """``classify`` with every start drawn, and the witnesses filtered from
+    the whole list of per-start verdicts."""
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
     if samples < 1:

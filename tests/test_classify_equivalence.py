@@ -1,7 +1,7 @@
-"""``classify`` against ``reference_classify``, which builds a
-``PointVerdict`` for every sample and filters the witnesses from the whole
-list: equal reports with equal ``repr`` (so the same verdict and the same
-witnesses, bit for bit), or the same error type and message. For the
+"""``classify`` against ``reference_classify``, which draws every sample
+and filters the witnesses from the whole list: equal reports with equal
+``repr`` (so the same verdict and the same witnesses, bit for bit), or
+the same error type and message. For the
 linear families the reference samples brackets where ``classify`` reads
 the linear theorem; every linear spec and length here lies outside the
 brackets' slack band, where the two agree (``test_analysis.py`` pins

@@ -76,14 +76,22 @@ class TestNegateCommand:
         assert code == 0
         assert json.loads(out) == [0.5, 0.5]
 
-    def test_dist_from_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "[0.1, 0.2, 0.15, 0.3, 0.25]",
+            "0.1,0.2,0.15,0.3,0.25\n",
+            "\ufeff[0.1, 0.2, 0.15, 0.3, 0.25]",
+        ],
+        ids=["json", "csv", "json-with-bom"],
+    )
+    def test_dist_from_file(self, capsys, tmp_path, content):
         f = tmp_path / "dist.json"
-        f.write_text("[0.1, 0.2, 0.15, 0.3, 0.25]")
-        code, out, _ = invoke(
-            capsys, "negate", "--negator", "involutive", "--dist", f"@{f}"
-        )
+        f.write_text(content, encoding="utf-8")
+        argv = ["negate", "--negator", "involutive", "--dist"]
+        code, out, _ = invoke(capsys, *argv, f"@{f}")
         assert code == 0
-        assert len(json.loads(out)) == 5
+        assert out == invoke(capsys, *argv, "[0.1, 0.2, 0.15, 0.3, 0.25]")[1]
 
     def test_missing_file(self, capsys, tmp_path):
         code, out, err = invoke(

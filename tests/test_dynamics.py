@@ -92,11 +92,9 @@ class TestClosedForms:
     def test_zero_steps_is_identity(self):
         for p in (0.0, 0.3, 1.0):
             assert linear_power_point(p, 4, 0.3, 0) == p
-            assert yager_power_point(p, 4, 0) == p
 
     def test_yager_two_steps_from_one(self):
         assert linear_power_point(1.0, 3, 0.0, 2) == pytest.approx(0.5, abs=1e-15)
-        assert yager_power_point(1.0, 3, 2) == pytest.approx(0.5, abs=1e-15)
 
     def test_alpha_one_collapses_immediately(self):
         for k in (1, 2, 7):
