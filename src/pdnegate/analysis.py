@@ -54,7 +54,6 @@ from .simplex import (
     _validated,
     linf_to_uniform,
     max_abs_diff,
-    uniform_dist,
 )
 from .negators import Involutive, NegatorSpec, _linear_alpha, contraction_factor, negate
 
@@ -234,11 +233,11 @@ def check_involution(spec: NegatorSpec, dist: Dist) -> InvolutionCheck:
 
 
 def fixed_point(spec: NegatorSpec, n: int) -> float:
-    """The unique fixed probability value, 1/n, after checking that
-    negating the uniform distribution reproduces it."""
-    u = uniform_dist(n)
-    if max_abs_diff(negate(spec, u), u) > _TOL_EQ:
-        raise ArithmeticError(f"{spec!r} does not fix the uniform distribution")
+    """1/n, the value every family fixes (the paper's theorem). Only ``n``
+    and ``spec`` are checked: it holds even where ``negate`` cannot
+    evaluate the uniform distribution, as for ``Tsallis(1e-320)``."""
+    _check_length(n)
+    _linear_alpha(spec)  # a non-spec raises TypeError, as in iterate
     return 1.0 / n
 
 

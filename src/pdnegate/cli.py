@@ -122,7 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 
     negator_help = f"negator family: {_SPEC_SYNTAX}"
-    dist_help = "distribution: comma-separated floats, JSON array, or @file.json"
+    dist_help = (
+        "distribution: comma-separated floats, JSON array, or @path to a file holding either"
+    )
 
     p = sub.add_parser("negate", help="negate a distribution once")
     p.add_argument("--negator", required=True, help=negator_help)

@@ -2,9 +2,7 @@
 
 A distribution here is a finite ordered tuple of probabilities summing to
 one. Constructors reject invalid input instead of repairing it; a ``Dist``
-built directly is validated at its first read by ``negate``, ``iterate``,
-``converge``, ``linf_to_uniform`` or ``max_abs_diff``, and never by
-``entropy``.
+built directly is validated by the first library function that reads it.
 
 The entropy used throughout is the quadratic (Gini) form
 
@@ -49,7 +47,7 @@ __all__ = [
 _TOL_SIMPLEX = 1e-9
 # How far apart two probabilities, or two distributions in the max norm,
 # may be and still count as equal: the slack of converge's cycle test,
-# classify's brackets, check_involution and fixed_point.
+# classify's brackets and check_involution.
 _TOL_EQ = 1e-9
 _new = object.__new__  # builds an instance without its __init__
 
@@ -59,10 +57,9 @@ class Dist:
     """A probability distribution over n >= 2 ordered outcomes.
 
     Build through :func:`make_dist` (or ``uniform_dist`` / ``point_dist``),
-    which enforce the invariants; one built directly is validated when first
-    read by ``negate``, ``iterate``, ``converge``, ``linf_to_uniform`` or
-    ``max_abs_diff``. Values are kept in input order and never renormalized
-    or sorted.
+    which enforce the invariants; one built directly is validated by the
+    first library function that reads it. Values are kept in input order
+    and never renormalized or sorted.
     """
 
     values: tuple[float, ...]
@@ -177,10 +174,8 @@ def point_dist(n: int, i: int) -> Dist:
 
 
 def entropy(dist: Dist) -> float:
-    """Quadratic entropy sum((1 - p) * p), in [0, (n-1)/n] for a valid ``dist``.
-    It does not validate a ``Dist`` built directly: ``iterate`` calls it at
-    every step, on ``negate``'s validated outputs, and the check would slow
-    that loop."""
+    """Quadratic entropy sum((1 - p) * p), in [0, (n-1)/n]."""
+    dist._lo  # validates a hand-built Dist, as every reader does
     return math.fsum([(1.0 - v) * v for v in dist.values])
 
 

@@ -1,4 +1,5 @@
-"""Shared strategies for property tests, and a report hook for -W error.
+"""Shared strategies for property tests, and a report hook for running
+with every warning an error, as pyproject.toml sets.
 
 Distributions are built by normalizing non-negative weights, so every
 generated value is a valid simplex point by construction (the library
@@ -121,10 +122,11 @@ def pytest_runtest_makereport():
     # When a property test fails, Hypothesis's pytest plugin builds its
     # report by importing libcst, if that is installed, to write a patch
     # with the failing example. That import raises a DeprecationWarning
-    # (from mypy_extensions), and under `pytest -W error` a warning there
-    # aborts the whole run with INTERNALERROR instead of reporting the one
-    # failure. Report-making runs no test code, so its deprecations are
-    # ignored; the tests themselves still run under -W error.
+    # (from mypy_extensions), and with warnings as errors (pyproject.toml's
+    # filterwarnings) a warning there aborts the whole run with
+    # INTERNALERROR instead of reporting the one failure. Report-making runs
+    # no test code, so its deprecations are ignored; the tests themselves
+    # still run with warnings as errors.
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", DeprecationWarning)
         return (yield)

@@ -42,6 +42,10 @@ class Mutant(NamedTuple):
 
 
 ANALYSIS = "src/pdnegate/analysis.py"
+CLI = "src/pdnegate/cli.py"
+DYNAMICS = "src/pdnegate/dynamics.py"
+NEGATORS = "src/pdnegate/negators.py"
+SIMPLEX = "src/pdnegate/simplex.py"
 ORACLES = "tests/oracles.py"
 CRITERION = "tests/test_acceptance.py::test_criterion_{}"
 CLASSIFY = "tests/test_analysis.py::TestClassify::{}"
@@ -49,6 +53,10 @@ DICHOTOMY = "tests/test_analysis.py::TestClassifyPoint::test_dichotomy_for_point
 BIT_IDENTICAL = "tests/test_negators.py::TestKernelMatchesPointwise::test_bit_identical"
 LEAD = CLASSIFY.format("test_dist_level_lead_is_away_from_uniform")
 KIND = CLASSIFY.format("test_dist_level_witnesses_are_of_their_kind")
+CONVERGE = "tests/test_dynamics.py::TestConverge::{}"
+FACTOR_N5 = "tests/test_dynamics.py::TestContractionFactor::test_yager_n5"
+EXIT_CODES = "tests/test_cli.py::TestExitCodes::{}"
+FIXED_POINT = "tests/test_analysis.py::TestFixedPoint::{}"
 
 MUTANTS = [
     # classify's linear verdict and witnesses, read from the theorem.
@@ -124,6 +132,101 @@ MUTANTS = [
         "first(lambda v: v.expanding and not v.contracting, 1)",
         "first(lambda v: v.expanding, 1)",
         (KIND,),
+    ),
+    # fixed_point reads the paper's theorem: n, then the spec, then 1/n.
+    Mutant(
+        "fixed-point-value", ANALYSIS,
+        "    return 1.0 / n\n", "    return 1.0 / (n + 1)\n",
+        (FIXED_POINT.format("test_any_spec_is_one_over_n"),),
+    ),
+    Mutant(
+        "fixed-point-no-spec-check", ANALYSIS,
+        "    _linear_alpha(spec)  # a non-spec raises TypeError, as in iterate\n", "",
+        (FIXED_POINT.format("test_rejects_non_spec"),),
+    ),
+    Mutant(
+        "fixed-point-spec-before-n", ANALYSIS,
+        "    _check_length(n)\n    _linear_alpha(spec)  #",
+        "    _linear_alpha(spec)\n    _check_length(n)  #",
+        (FIXED_POINT.format("test_length_domain"),),
+    ),
+    # A family that moves the uniform distribution: fixed_point does not
+    # check it at run time, so the tests must.
+    Mutant(
+        "involutive-moves-uniform", NEGATORS,
+        "nums = [mp - p for p in vals]",
+        "nums = [mp - p + i * 2**-20 for i, p in enumerate(vals)]",
+        (CRITERION.format("6_ranges_and_fixed_points"),
+         "tests/test_negators.py::TestNegationAxioms::test_uniform_distribution_is_fixed"),
+    ),
+    # The linear theorem and converge's outcomes.
+    Mutant(
+        "factor-sign", NEGATORS,
+        "return -(1.0 - alpha) / (n - 1)", "return (1.0 - alpha) / (n - 1)",
+        (FACTOR_N5, CRITERION.format("3_closed_form_oracle")),
+    ),
+    Mutant(
+        "factor-divisor-n", NEGATORS,
+        "return -(1.0 - alpha) / (n - 1)", "return -(1.0 - alpha) / n",
+        (FACTOR_N5, "tests/test_dynamics.py::TestExactRate::test_linf_scales_by_factor_power"),
+    ),
+    Mutant(
+        "cycle-test-skips-unit-factor", DYNAMICS,
+        "abs(contraction_factor(n, alpha)) >= 1.0", "abs(contraction_factor(n, alpha)) > 1.0",
+        (CONVERGE.format("test_yager_n2_oscillates_with_period_two"),
+         CRITERION.format("5_degenerate_case_honesty")),
+    ),
+    Mutant(
+        "converged-steps+1", DYNAMICS,
+        "Converged(k, current)", "Converged(k + 1, current)",
+        (CONVERGE.format("test_uniform_spec_converges_in_one"),
+         CRITERION.format("4_convergence_rate")),
+    ),
+    Mutant(
+        "left-domain-steps+1", DYNAMICS,
+        "LeftDomain(k - 1, current)", "LeftDomain(k, current)",
+        (CONVERGE.format("test_leaving_the_domain_is_an_outcome"),),
+    ),
+    Mutant(
+        "tol-eq-5e-10", SIMPLEX,
+        "_TOL_EQ = 1e-9", "_TOL_EQ = 5e-10",
+        (CONVERGE.format("test_max_iter_reached"),),
+    ),
+    # Validation: the simplex tolerance and whose fault a rejection is.
+    Mutant(
+        "tol-simplex-1e-10", SIMPLEX,
+        "_TOL_SIMPLEX = 1e-9", "_TOL_SIMPLEX = 1e-10",
+        (EXIT_CODES.format("test_bad_sum_is_input_error"),
+         "tests/test_simplex.py::TestMakeDist::test_sum_tolerance"),
+    ),
+    Mutant(
+        "entropy-unchecked", SIMPLEX,
+        "    dist._lo  # validates a hand-built Dist, as every reader does\n", "",
+        ("tests/test_negators.py::TestInvalidHandBuiltDist::test_raises_simplex_error",),
+    ),
+    Mutant(
+        "negate-catches-sum-only", NEGATORS,
+        "except (RangeError, SumError) as exc:", "except SumError as exc:",
+        ("tests/test_negators.py::TestFailedNegation::test_rejected_output_is_domain_error",),
+    ),
+    Mutant(
+        "format-negator-unchecked", NEGATORS,
+        "    if type(spec) not in _FAMILIES:\n"
+        "        raise TypeError(f\"not a negator spec: {spec!r}\")\n    return type(spec)",
+        "    return type(spec)",
+        ("tests/test_negators.py::TestNegateExamples::test_non_spec_rejected",),
+    ),
+    # The CLI's exit codes: 2 for a domain error, 1 for malformed input.
+    Mutant(
+        "cli-domain-error-exits-1", CLI,
+        "        return 2\n    except (ValueError, OSError)",
+        "        return 1\n    except (ValueError, OSError)",
+        (EXIT_CODES.format("test_domain_error_exits_2"),),
+    ),
+    Mutant(
+        "cli-input-error-exits-2", CLI,
+        "file=sys.stderr)\n        return 1\n", "file=sys.stderr)\n        return 2\n",
+        (EXIT_CODES.format("test_input_error_exits_1"),),
     ),
     # The oracles' pointwise brackets.
     Mutant(

@@ -301,19 +301,26 @@ class TestCheckInvolution:
 
 
 class TestFixedPoint:
-    @pytest.mark.parametrize("n", [3, 5])
-    def test_involutive_is_one_over_n(self, n):
-        assert fixed_point(Involutive(), n) == pytest.approx(1 / n, abs=1e-15)
+    @pytest.mark.parametrize(
+        "spec, n",
+        # The tsallis exponents are too extreme for negate to evaluate the
+        # uniform distribution, yet the family still fixes 1/n.
+        [(Involutive(), 3), (Involutive(), 5), (Tsallis(1e-320), 3), (Tsallis(-1100.0), 2)],
+        ids=repr,
+    )
+    def test_any_spec_is_one_over_n(self, spec, n):
+        assert fixed_point(spec, n) == 1.0 / n
 
     def test_length_domain(self):
-        with pytest.raises(DomainError):
-            fixed_point(Yager(), 1)
+        # n is checked first, so a non-spec at n = 1 is a DomainError too.
+        for spec in (Yager(), "yager"):
+            with pytest.raises(DomainError):
+                fixed_point(spec, 1)
 
-    def test_map_that_moves_uniform_raises(self, monkeypatch):
-        # Every shipped family fixes uniform, so a stand-in negate moves it.
-        monkeypatch.setattr(analysis, "negate", lambda spec, dist: point_dist(dist.n, 1))
-        with pytest.raises(ArithmeticError, match=r"^Yager\(\) does not fix the uniform"):
-            fixed_point(Yager(), 3)
+    @NON_SPECS
+    def test_rejects_non_spec(self, non_spec):
+        with pytest.raises(TypeError, match="^not a negator spec: "):
+            fixed_point(non_spec, 3)
 
 
 class TestNegationAxiomsCheck:

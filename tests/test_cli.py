@@ -93,15 +93,6 @@ class TestNegateCommand:
         assert code == 0
         assert out == invoke(capsys, *argv, "[0.1, 0.2, 0.15, 0.3, 0.25]")[1]
 
-    def test_missing_file(self, capsys, tmp_path):
-        code, out, err = invoke(
-            capsys, "negate", "--negator", "yager",
-            "--dist", f"@{tmp_path}/nope.json",
-        )
-        assert code == 1
-        assert out == ""
-        assert err != ""
-
 
 class TestIterateCommand:
     def test_json_orbit(self, capsys):
@@ -314,32 +305,88 @@ class TestReadmeExamples:
                     assert line == want, argv
 
 
+def _negate(negator, dist, *rest):
+    return ["negate", "--negator", negator, "--dist", dist, *rest]
+
+
+# Each row is an argv and a fragment of its stderr message.
+DOMAIN_ERRORS = [
+    pytest.param(_negate("tsallis:k=0", "0.5,0.5"), "k must be a finite nonzero", id="k0"),
+    pytest.param(_negate("tsallis:k=inf", "0.5,0.5"), "k must be a finite nonzero", id="k_inf"),
+    pytest.param(
+        _negate("tsallis:k=-1", "1,0,0"), "requires strictly positive", id="negative_k_zero_entry"
+    ),
+    pytest.param(_negate("tsallis:k=-2", "[1e-200, 1.0]"), "overflows p**k", id="overflow"),
+    pytest.param(
+        ["converge", "--negator", "yager", "--dist", "0.3,0.7", "--eps", "nan"],
+        "eps must be > 0", id="eps_nan",
+    ),
+    pytest.param(
+        ["classify", "--negator", "yager", "--n", "1", "--seed", "0"],
+        "n must be >= 2", id="classify_n",
+    ),
+    pytest.param(
+        ["fixed-point", "--negator", "yager", "--n", "1"], "n must be >= 2", id="fixed_point_n"
+    ),
+    pytest.param(
+        ["classify", "--negator", "yager", "--n", "3", "--samples", "0", "--seed", "0"],
+        "samples must be >= 1", id="samples",
+    ),
+    pytest.param(
+        ["iterate", "--negator", "yager", "--dist", "0.5,0.5", "-k", "-1"],
+        "steps must be >= 0", id="steps",
+    ),
+    pytest.param(
+        ["converge", "--negator", "yager", "--dist", "0.3,0.7", "--max-iter", "0"],
+        "max_iter must be >= 1", id="max_iter",
+    ),
+]
+
+INPUT_ERRORS = [
+    pytest.param(_negate("yager", "1"), "need at least 2 values", id="one_value"),
+    pytest.param(_negate("bogus", "0.5,0.5"), "unknown negator 'bogus'", id="unknown_negator"),
+    pytest.param(
+        ["negate", "--negator", "yager"], "arguments are required: --dist", id="missing_flag"
+    ),
+    pytest.param(
+        _negate("yager", "0.5,0.5", "--format", "csv"), "unrecognized arguments: --format",
+        id="format_off_iterate",
+    ),
+    pytest.param(["frobnicate"], "invalid choice", id="unknown_command"),
+    pytest.param(_negate("yager", "[" * 200_000), "nested too deeply", id="deep_json"),
+    # An integer too large for a float is read as inf.
+    pytest.param(
+        _negate("yager", "[1" + "0" * 400 + ", 0]"), "value inf at position 1", id="huge_int"
+    ),
+    pytest.param(_negate("yager", "[[1]]"), "must be an array of numbers", id="nested"),
+    pytest.param(_negate("yager", '["0.5","0.5"]'), "must be an array of numbers", id="strings"),
+    pytest.param(
+        _negate("yager", "@no-such-file.json"), "No such file or directory", id="missing_file"
+    ),
+]
+
+
 class TestExitCodes:
-    def test_tsallis_k0_is_parameter_domain_error(self, capsys):
+    @pytest.mark.parametrize("argv, fragment", DOMAIN_ERRORS)
+    def test_domain_error_exits_2(self, capsys, argv, fragment):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert fragment in err
+
+    @pytest.mark.parametrize("argv, fragment", INPUT_ERRORS)
+    def test_input_error_exits_1(self, capsys, argv, fragment):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert fragment in err
+
+    def test_failed_negation_is_domain_error(self, capsys):
+        # A subnormal k leaves subnormal numerators, too few bits for an output.
         code, out, err = invoke(
-            capsys, "negate", "--negator", "tsallis:k=0", "--dist", "0.5,0.5"
+            capsys, "negate", "--negator", "tsallis:k=1e-320", "--dist", "0.2,0.3,0.5"
         )
         assert code == 2
         assert out == ""
-        assert err != ""
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["classify", "--negator", "yager", "--n", "1", "--seed", "0"],
-            ["fixed-point", "--negator", "yager", "--n", "1"],
-            ["classify", "--negator", "yager", "--n", "3", "--samples", "0",
-             "--seed", "0"],
-            ["iterate", "--negator", "yager", "--dist", "0.5,0.5", "-k", "-1"],
-            ["converge", "--negator", "yager", "--dist", "0.3,0.7", "--max-iter", "0"],
-        ],
-        ids=["classify_n", "fixed_point_n", "samples", "steps", "max_iter"],
-    )
-    def test_bad_count_flags_are_domain_errors(self, capsys, argv):
-        code, out, err = invoke(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
+        assert "numerators that sum to 3.5" in err
 
     def test_rejected_output_is_domain_error(self, capsys, monkeypatch):
         # A SumError from the input is exit 1; from negate's output, exit 2.
@@ -350,12 +397,6 @@ class TestExitCodes:
         code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", "0.2,0.8")
         assert (code, out) == (2, "")
         assert err == "error: negated output fails validation: off the simplex\n"
-
-    def test_one_value_dist_is_input_error(self, capsys):
-        code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", "1")
-        assert code == 1
-        assert out == ""
-        assert "at least 2 values" in err
 
     def test_bad_sum_is_input_error(self, capsys):
         """The one sum tolerance is 1e-9: a sum 5e-10 off one is accepted,
@@ -369,84 +410,9 @@ class TestExitCodes:
             assert code == 1, dist
             assert out == ""
 
-    def test_unknown_negator_is_input_error(self, capsys):
-        code, _, _ = invoke(
-            capsys, "negate", "--negator", "bogus", "--dist", "0.5,0.5"
-        )
-        assert code == 1
-
-    def test_malformed_flags(self, capsys):
-        code, out, err = invoke(capsys, "negate", "--negator", "yager")
-        assert code == 1
-        assert out == ""
-        assert "usage" in err.lower()
-
-    def test_format_flag_only_on_iterate(self, capsys):
-        code, _, err = invoke(
-            capsys, "negate", "--negator", "yager", "--dist", "0.5,0.5",
-            "--format", "csv",
-        )
-        assert code == 1
-        assert "usage" in err.lower()
-
-    def test_unknown_command(self, capsys):
-        code, _, _ = invoke(capsys, "frobnicate")
-        assert code == 1
-
     def test_help_exits_zero(self, capsys):
         code, _, _ = invoke(capsys, "--help")
         assert code == 0
-
-    def test_failed_negation_is_domain_error(self, capsys):
-        # A subnormal k leaves subnormal numerators, too few bits for an output.
-        code, out, err = invoke(
-            capsys, "negate", "--negator", "tsallis:k=1e-320", "--dist", "0.2,0.3,0.5"
-        )
-        assert code == 2
-        assert out == ""
-        assert "numerators that sum to 3.5" in err
-
-    def test_tsallis_negative_k_on_zero_entry(self, capsys):
-        code, _, _ = invoke(
-            capsys, "negate", "--negator", "tsallis:k=-1", "--dist", "1,0,0"
-        )
-        assert code == 2
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["negate", "--negator", "tsallis:k=inf", "--dist", "0.5,0.5"],
-            ["negate", "--negator", "tsallis:k=1e-320", "--dist", "0.2,0.3,0.5"],
-            ["converge", "--negator", "yager", "--dist", "0.3,0.7", "--eps", "nan"],
-            ["negate", "--negator", "tsallis:k=-2", "--dist", "[1e-200, 1.0]"],
-        ],
-    )
-    def test_tsallis_and_eps_edges_are_domain_errors(self, capsys, argv):
-        code, out, err = invoke(capsys, *argv)
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: ")
-
-    @pytest.mark.parametrize(
-        "dist",
-        [
-            "[" * 200_000,  # nested past the recursion limit
-            "[1" + "0" * 400 + ", 0]",  # an integer too large for a float
-        ],
-        ids=["deep", "huge_int"],
-    )
-    def test_unreadable_json_is_input_error(self, capsys, dist):
-        code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", dist)
-        assert code == 1
-        assert out == ""
-        assert err.startswith("error: ")
-
-    @pytest.mark.parametrize("dist", ["[[1]]", '["0.5","0.5"]'], ids=["nested", "strings"])
-    def test_non_numeric_json_is_input_error(self, capsys, dist):
-        code, out, err = invoke(capsys, "negate", "--negator", "yager", "--dist", dist)
-        assert code == 1
-        assert out == ""
-        assert "must be an array of numbers" in err
 
     @pytest.mark.parametrize(
         "command", ["negate", "iterate", "converge", "classify", "fixed-point"]

@@ -13,7 +13,6 @@ from pdnegate import (
     Involutive,
     LengthError,
     Linear,
-    LeftDomain,
     NegatorSyntaxError,
     RangeError,
     SimplexError,
@@ -22,6 +21,7 @@ from pdnegate import (
     Uniform,
     Yager,
     converge,
+    entropy,
     format_negator,
     iterate,
     linf_to_uniform,
@@ -153,15 +153,21 @@ class TestInvalidHandBuiltDist:
     @example(spec=Tsallis(0.01), values=(-0.5, 1.5))
     @example(spec=Involutive(), values=(0.5, 0.6))
     @example(spec=Tsallis(2.0), values=(0.5, 0.6))
+    # Unchecked, entropy would return -4.0 and 0.25 for these.
+    @example(spec=Yager(), values=(2.0, -1.0))
+    @example(spec=Yager(), values=(0.5,))
     def test_raises_simplex_error(self, spec, values):
+        with pytest.raises(SimplexError) as rejected:
+            make_dist(values)
         for call in (
             lambda d: negate(spec, d),
             lambda d: converge(spec, d),
             lambda d: iterate(spec, d, 1),
             linf_to_uniform,
             lambda d: max_abs_diff(d, d),
+            entropy,
         ):
-            with pytest.raises(SimplexError):
+            with pytest.raises(type(rejected.value)):
                 call(Dist(values))
 
     def test_hand_built_zero_dist_raises_sum_error(self):
@@ -241,15 +247,6 @@ class TestFailedNegation:
         with pytest.raises(DomainError, match="^negated output fails validation: off the") as info:
             negate(Yager(), make_dist([0.2, 0.8]))
         assert type(info.value.__cause__) is error
-
-    def test_converge_ends_in_left_domain(self):
-        # The k < 0 orbit reaches the vertex (1, 0) at step 5, whose zero
-        # entry step 6 rejects.
-        start = make_dist([0.3, 0.7])
-        out = converge(Tsallis(-2.0), start)
-        assert isinstance(out, LeftDomain)
-        assert out.steps == 5
-        assert out.last == iterate(Tsallis(-2.0), start, 5).steps[-1].dist
 
 
 class TestNegateExamples:
