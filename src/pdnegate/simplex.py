@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
@@ -155,8 +156,11 @@ def _accepted(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
 
 
 def _check_length(n: int) -> None:
+    # Neither message formats n: str() of an int past 4300 digits raises.
     if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+        raise DomainError("n must be >= 2")
+    if n > sys.float_info.max:  # exact for an int; 1.0 / n would overflow
+        raise DomainError("n must be at most the largest float")
 
 
 def uniform_dist(n: int) -> Dist:

@@ -27,6 +27,9 @@ from pdnegate import (
 
 ALPHA_GRID = [i / 10 for i in range(11)]
 
+# The worked example of README's quick start.
+EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
+
 
 @st.composite
 def dists(draw, min_n=2, max_n=8, min_weight=0.0):

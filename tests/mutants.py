@@ -5,9 +5,10 @@ Every entry of ``MUTANTS`` names a file, an exact piece of its text (the
 anchor, which must occur in the file exactly once), the text that
 replaces it, and the tests that must fail once it is replaced. The script
 first runs every named test once on an unmutated copy of ``src/``,
-``tests/`` and ``pyproject.toml``, where all must pass. Then it applies
-each mutant to a fresh temporary copy and runs only that mutant's tests,
-with ``-x -p no:cacheprovider``. A mutant is killed only when pytest
+``tests/``, ``pyproject.toml`` and ``README.md`` (whose examples pin the
+CLI), where all must pass. Then it applies each mutant to a fresh
+temporary copy and runs only that mutant's tests, with
+``-x -p no:cacheprovider``. A mutant is killed only when pytest
 exits 1, that is, when a test failed; any other exit code means the copy
 did not run (a syntax error, a bad test id, an internal error) and counts
 as a failure. It starts one pytest process at a time, and exits non-zero
@@ -29,7 +30,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "pyproject.toml", "README.md")
 TIMEOUT_S = 600  # a mutant that hangs its tests counts as a failure
 
 
@@ -56,6 +57,8 @@ KIND = CLASSIFY.format("test_dist_level_witnesses_are_of_their_kind")
 CONVERGE = "tests/test_dynamics.py::TestConverge::{}"
 FACTOR_N5 = "tests/test_dynamics.py::TestContractionFactor::test_yager_n5"
 EXIT_CODES = "tests/test_cli.py::TestExitCodes::{}"
+CLI_CONVERGE = "tests/test_cli.py::TestConvergeCommand::{}"
+README_EXAMPLES = "tests/test_cli.py::TestReadmeExamples::test_examples_print_what_readme_shows"
 FIXED_POINT = "tests/test_analysis.py::TestFixedPoint::{}"
 
 MUTANTS = [
@@ -185,14 +188,58 @@ MUTANTS = [
     Mutant(
         "left-domain-steps+1", DYNAMICS,
         "LeftDomain(k - 1, current)", "LeftDomain(k, current)",
-        (CONVERGE.format("test_leaving_the_domain_is_an_outcome"),),
+        (CONVERGE.format("test_leaving_the_domain_is_an_outcome"), README_EXAMPLES),
+    ),
+    Mutant(
+        "converged-limit-is-start", DYNAMICS,
+        "Converged(k, current)", "Converged(k, dist)",
+        (README_EXAMPLES,),
+    ),
+    # iterate's steps, each the negation of the one before.
+    Mutant(
+        "iterate-negates-once", DYNAMICS,
+        "        if k:\n            dist = negate",
+        "        if k == 1:\n            dist = negate",
+        ("tests/test_dynamics.py::TestIterate::test_trace_structure",),
+    ),
+    Mutant(
+        "orbit-csv-no-final-newline", DYNAMICS,
+        'return "\\n".join(lines) + "\\n"', 'return "\\n".join(lines)',
+        ("tests/test_dynamics.py::TestOrbitCsv::test_golden_involutive_orbit",),
+    ),
+    # The involutive total as n*mp - 1, not the numerators' sum: rounding
+    # can put an output past 1.
+    Mutant(
+        "involutive-total-n-mp-1", NEGATORS,
+        "nums = [mp - p for p in vals]\n        total = math.fsum(nums)",
+        "nums = [mp - p for p in vals]\n        total = len(vals) * mp - 1.0",
+        ("tests/test_negators.py::TestKernelMatchesPointwise::test_vertex_after_two_steps",),
     ),
     Mutant(
         "tol-eq-5e-10", SIMPLEX,
         "_TOL_EQ = 1e-9", "_TOL_EQ = 5e-10",
         (CONVERGE.format("test_max_iter_reached"),),
     ),
-    # Validation: the simplex tolerance and whose fault a rejection is.
+    # Validation: the length rules, the recorded extremes, the simplex
+    # tolerance and whose fault a rejection is.
+    Mutant(
+        "length-rule-one-value", SIMPLEX,
+        "    if len(vals) < 2:", "    if len(vals) < 1:",
+        ("tests/test_negators.py::TestInvalidHandBuiltDist::test_raises_simplex_error",
+         "tests/test_simplex.py::TestMakeDist::test_too_short",
+         EXIT_CODES.format("test_input_error_exits_1[one_value]")),
+    ),
+    Mutant(
+        "length-unbounded", SIMPLEX,
+        "    if n > sys.float_info.max:", "    if False:",
+        (FIXED_POINT.format("test_length_domain"),
+         EXIT_CODES.format("test_domain_error_exits_2[fixed_point_huge_n]")),
+    ),
+    Mutant(
+        "recorded-extremes-swapped", SIMPLEX,
+        'state["_lo"], state["_hi"] = lo, hi', 'state["_lo"], state["_hi"] = hi, lo',
+        ("tests/test_simplex.py::TestRecordedExtremes::test_factories",),
+    ),
     Mutant(
         "tol-simplex-1e-10", SIMPLEX,
         "_TOL_SIMPLEX = 1e-9", "_TOL_SIMPLEX = 1e-10",
@@ -227,6 +274,43 @@ MUTANTS = [
         "cli-input-error-exits-2", CLI,
         "file=sys.stderr)\n        return 1\n", "file=sys.stderr)\n        return 2\n",
         (EXIT_CODES.format("test_input_error_exits_1"),),
+    ),
+    # The CLI's payload bytes, pinned by README's examples, the classify
+    # goldens and the converge tests, and classify's required --seed.
+    Mutant(
+        "cli-outcome-tag-underscore", CLI,
+        '{"outcome": tag[1:],', '{"outcome": tag,',
+        (CLI_CONVERGE.format("test_max_iter"),),
+    ),
+    Mutant(
+        "cli-outcome-key-last", CLI,
+        '{"outcome": tag[1:], **_jsonable(outcome)}', '{**_jsonable(outcome), "outcome": tag[1:]}',
+        (CLI_CONVERGE.format("test_max_iter"),),
+    ),
+    Mutant(
+        "cli-separators-spaced", CLI,
+        'separators=(",", ":")', 'separators=(", ", ": ")',
+        (CLI_CONVERGE.format("test_negative_zero_start_prints_plus_zero"), README_EXAMPLES),
+    ),
+    Mutant(
+        "cli-json-ints-not-floats", CLI,
+        "json.loads(text, parse_int=float)", "json.loads(text)",
+        (README_EXAMPLES,),
+    ),
+    Mutant(
+        "cli-csv-switch-ignored", CLI,
+        'orbit_csv(trace) if args.format == "csv" else trace', "trace",
+        (README_EXAMPLES,),
+    ),
+    Mutant(
+        "cli-payload-newline", CLI,
+        "    sys.stdout.write(result)\n", '    sys.stdout.write(result + "\\n")\n',
+        ("tests/test_cli.py::TestClassifyCommand::test_golden_payload",),
+    ),
+    Mutant(
+        "cli-seed-optional", CLI,
+        '"--seed", type=int, required=True,', '"--seed", type=int, default=0,',
+        (EXIT_CODES.format("test_input_error_exits_1[missing_seed]"),),
     ),
     # The oracles' pointwise brackets.
     Mutant(

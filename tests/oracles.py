@@ -320,7 +320,7 @@ def reference_classify(spec, n, samples, seed):
     """``classify`` with every start drawn, and the witnesses filtered from
     the whole list of per-start verdicts."""
     if n < 2:
-        raise DomainError(f"n must be >= 2, got {n}")
+        raise DomainError("n must be >= 2")
     if samples < 1:
         raise DomainError(f"samples must be >= 1, got {samples}")
     alpha = _reference_alpha(spec)

@@ -38,6 +38,7 @@ from pdnegate import (
     random_dist,
     uniform_dist,
 )
+from conftest import EXAMPLE
 from oracles import (
     _reference_point_verdict,
     involutive_point,
@@ -46,7 +47,6 @@ from oracles import (
     yager_power_point,
 )
 
-EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 ALPHAS_11 = [i / 10 for i in range(11)]
 
 

@@ -30,7 +30,7 @@ from pdnegate import (
 
 from pdnegate import analysis
 
-from conftest import NON_SPECS, dists, pointwise_specs
+from conftest import EXAMPLE, NON_SPECS, dists, pointwise_specs
 from oracles import (
     TOL_EQ,
     _reference_point_verdict,
@@ -41,8 +41,6 @@ from oracles import (
     reference_classify,
     yager_point,
 )
-
-EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 
 
 def classify_point(f, p, n):
@@ -162,6 +160,9 @@ class TestClassify:
         for n in (2, 3, 5, 8):
             r = classify(Tsallis(2.0), n, samples=80, seed=7)
             assert r.verdict is Verdict.CONTRACTING
+        # Not for k <= 1 at n = 2, where k = 1 is yager's swap.
+        assert classify(Tsallis(0.5), 2, 200, seed=0).verdict is Verdict.EXPANDING
+        assert classify(Tsallis(1.0), 2, 200, seed=0).verdict is Verdict.INVOLUTIVE
 
     def test_tsallis_negative_k_expanding(self):
         for n in (2, 3, 5, 8):
@@ -313,9 +314,11 @@ class TestFixedPoint:
 
     def test_length_domain(self):
         # n is checked first, so a non-spec at n = 1 is a DomainError too.
-        for spec in (Yager(), "yager"):
+        # Past the largest float 1/n overflows, and -10**5000 has too many
+        # digits for str(), so no message may format n.
+        for spec, n in [(Yager(), 1), ("yager", 1), (Yager(), 10**400), (Yager(), -10**5000)]:
             with pytest.raises(DomainError):
-                fixed_point(spec, 1)
+                fixed_point(spec, n)
 
     @NON_SPECS
     def test_rejects_non_spec(self, non_spec):

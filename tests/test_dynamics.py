@@ -33,10 +33,8 @@ from pdnegate import (
     uniform_dist,
 )
 
-from conftest import ALPHA_GRID, NON_SPECS, all_specs, dists, positive_dists
+from conftest import ALPHA_GRID, EXAMPLE, NON_SPECS, all_specs, dists, positive_dists
 from oracles import yager_power_point
-
-EXAMPLE = make_dist([0.1, 0.2, 0.15, 0.3, 0.25])
 
 
 class TestIterate:
@@ -46,10 +44,6 @@ class TestIterate:
         assert tr.steps[0].dist.values == d.values
         for step in tr.steps[1:]:
             assert step.dist.values == uniform_dist(3).values
-
-    def test_involutive_returns_after_two(self):
-        tr = iterate(Involutive(), EXAMPLE, 2)
-        assert max_abs_diff(tr.steps[2].dist, EXAMPLE) <= 1e-12
 
     def test_yager_n2_period_two(self):
         d = make_dist([0.3, 0.7])
@@ -138,6 +132,8 @@ class TestContractionFactor:
             contraction_factor(3, -0.1)
         with pytest.raises(DomainError):
             contraction_factor(1, 0.5)
+        with pytest.raises(DomainError):  # 1/(n - 1) would overflow
+            contraction_factor(10**400, 0.5)
 
 
 class TestExactRate:

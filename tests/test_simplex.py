@@ -312,21 +312,6 @@ class TestStats:
     """The recorded max and min, and their sum mp, which the involutive
     family reads."""
 
-    def test_example(self):
-        d = make_dist(EXAMPLE)
-        assert d._hi == 0.3
-        assert d._lo == 0.1
-        assert d._hi + d._lo == pytest.approx(0.4, abs=1e-15)
-        assert d.n == 5
-
-    def test_uniform(self):
-        d = uniform_dist(4)
-        assert d._hi + d._lo == pytest.approx(0.5, abs=1e-15)
-
-    def test_point(self):
-        d = point_dist(3, 2)
-        assert (d._hi, d._lo, d._hi + d._lo) == (1.0, 0.0, 1.0)
-
     @given(dists())
     def test_denominator_positivity(self, d):
         """n*MP - 1 > 0 for every valid distribution, and so is the sum of
