@@ -173,7 +173,7 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
     """
     _check_length(n)
     if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+        raise DomainError("samples must be >= 1")
     alpha = _linear_alpha(spec)
     if alpha is not None:
         a = abs(contraction_factor(n, alpha))

@@ -112,7 +112,7 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
     doubles as a running check that negation preserves the simplex.
     """
     if steps < 0:
-        raise DomainError(f"steps must be >= 0, got {steps}")
+        raise DomainError("steps must be >= 0")
     dist._lo  # the first read of a hand-built Dist validates it; len may not
     _linear_alpha(spec)  # a non-spec raises here, even if negate never runs
     u = 1.0 / len(dist.values)
@@ -135,7 +135,7 @@ def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
     """k-fold application of the linear negator to ``p``, in closed form."""
     a = contraction_factor(n, alpha)
     if k < 0:
-        raise DomainError(f"k must be >= 0, got {k}")
+        raise DomainError("k must be >= 0")
     return 1.0 / n + a**k * (p - 1.0 / n)
 
 
@@ -184,9 +184,9 @@ def converge(
     propagates: then ``dist`` itself is outside the domain.
     """
     if not eps > 0.0:
-        raise DomainError(f"eps must be > 0, got {eps!r}")
+        raise DomainError("eps must be > 0")
     if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+        raise DomainError("max_iter must be >= 1")
 
     current = dist
     # _lo before len, as in iterate. Each side's test decides as linf < eps.

@@ -14,7 +14,7 @@ The first three read only the value being transformed; the linear family
 is their common closed form (alpha=0 gives yager, alpha=1 gives uniform).
 The last two read the whole distribution and divide non-negative
 numerators by their sum, so every output lies in [0, 1]: tsallis takes
-p**k - 1 for k < 0, and -expm1(k*log(p)) for 1 - p**k when |k| < 2**-4.
+p**k - 1 for k < 0, and |expm1(k*log(p))| for |1 - p**k| when |k| < 2**-4.
 The involutive family undoes itself: negating twice returns the original
 distribution.
 
@@ -24,6 +24,7 @@ Every family fixes the value 1/n and therefore the uniform distribution.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 
 from .errors import (
@@ -59,7 +60,7 @@ class Uniform:
 
 def _check_alpha(alpha: float) -> None:
     if not 0.0 <= alpha <= 1.0:
-        raise DomainError(f"alpha must be in [0, 1], got {alpha!r}")
+        raise DomainError("alpha must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,9 @@ class Tsallis:
     k: float
 
     def __post_init__(self) -> None:
-        if self.k == 0.0 or not math.isfinite(self.k):
-            raise DomainError(f"k must be a finite nonzero number, got {self.k!r}")
+        # Exact for an int too, where math.isfinite would overflow.
+        if self.k == 0.0 or not -sys.float_info.max <= self.k <= sys.float_info.max:
+            raise DomainError("k must be a finite nonzero number within the float range")
 
 
 @dataclass(frozen=True)
@@ -155,14 +157,12 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
             raise DomainError("tsallis with k < 0 requires strictly positive probabilities")
         # Numerators 1 - p**k, or p**k - 1 for k < 0, so that each is >= 0
         # and +0.0 where p**k rounds to 1. Below |k| = _POW_MIN_K they
-        # cancel, so they are read as -expm1(k*log(p)), with 1.0 for p = 0.
+        # cancel, so they are read as |expm1(k*log(p))|, with 1.0 for p = 0.
         try:
             if abs(k) >= _POW_MIN_K:
                 nums = [1.0 - p**k for p in vals] if k > 0.0 else [p**k - 1.0 for p in vals]
-            elif k > 0.0:
-                nums = [0.0 - math.expm1(k * math.log(p)) if p else 1.0 for p in vals]
             else:
-                nums = [0.0 + math.expm1(k * math.log(p)) for p in vals]
+                nums = [abs(math.expm1(k * math.log(p))) if p else 1.0 for p in vals]
             total = math.fsum(nums)
         except OverflowError:
             raise DomainError(f"tsallis:k={k!r} overflows p**k on this distribution") from None

@@ -173,7 +173,7 @@ def point_dist(n: int, i: int) -> Dist:
     """The degenerate distribution with unit mass on outcome ``i`` (1-based)."""
     _check_length(n)
     if not 1 <= i <= n:
-        raise IndexError(f"outcome index {i} outside 1..{n}")
+        raise IndexError(f"outcome index outside 1..{n}")
     return make_dist([1.0 if j == i else 0.0 for j in range(1, n + 1)])
 
 

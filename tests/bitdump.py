@@ -66,7 +66,7 @@ SPECS = [
 ]
 
 
-def _near_complement(n, ulps):
+def near_complement(n, ulps):
     """(0, m, ..., m) with m ``ulps`` ulps below 1/(n - 1), whose sum is
     a few ulps off 1: the involutive output is a vertex, whose 1 the
     ``n*mp - 1`` reading of the denominator overshoots."""
@@ -85,7 +85,7 @@ def _starts():
     yield "tiny2", make_dist([1e-200, 1.0])
     yield "corner4", make_dist([0.0, 0.0, 0.0, 1.0])
     for n, ulps in ((3, 1), (10_000, 1), (10_000, 2)):
-        yield f"complement{n}-{ulps}", _near_complement(n, ulps)
+        yield f"complement{n}-{ulps}", near_complement(n, ulps)
     # Orbits that leave the tsallis k < 0 domain, and a vertex off centre.
     yield "leave3a", make_dist([0.2, 0.3, 0.5])
     yield "leave3b", make_dist([0.15, 0.25, 0.6])

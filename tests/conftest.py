@@ -25,6 +25,8 @@ from pdnegate import (
     random_dist,
 )
 
+from bitdump import near_complement
+
 ALPHA_GRID = [i / 10 for i in range(11)]
 
 # The worked example of README's quick start.
@@ -111,12 +113,11 @@ def wide_inputs():
     rng = random.Random(n)
     weights = [0.0 if rng.random() < 0.1 else rng.expovariate(1.0) for _ in range(n)]
     total = math.fsum(weights)
-    m = math.nextafter(1.0 / (n - 1), 0.0)
     return {
         "dirichlet": random_dist(n, seed=n),
         "zeros": make_dist([w / total for w in weights]),
         "point": point_dist(n, 1),
-        "near_complement": make_dist([0.0] + [m] * (n - 1)),
+        "near_complement": near_complement(n, 1),
     }
 
 

@@ -7,12 +7,15 @@ replaces it, and the tests that must fail once it is replaced. The script
 first runs every named test once on an unmutated copy of ``src/``,
 ``tests/``, ``pyproject.toml`` and ``README.md`` (whose examples pin the
 CLI), where all must pass. Then it applies each mutant to a fresh
-temporary copy and runs only that mutant's tests, with
-``-x -p no:cacheprovider``. A mutant is killed only when pytest
-exits 1, that is, when a test failed; any other exit code means the copy
-did not run (a syntax error, a bad test id, an internal error) and counts
-as a failure. It starts one pytest process at a time, and exits non-zero
-if the unmutated copy fails, an anchor is stale or a mutant survives.
+temporary copy and runs all of that mutant's tests, with
+``-rf -p no:cacheprovider``. A mutant is killed only when pytest exits 1
+and its ``-rf`` summary lists every named test as failed, so each named
+test must kill the mutant on its own; a test named without its
+parameters fails when any of its cases does. Any other exit code means
+the copy did not run (a syntax error, a bad test id, an internal error)
+and counts as a failure. It starts one pytest process at a time, and
+exits non-zero if the unmutated copy fails, an anchor is stale or a
+mutant survives any of its tests.
 
 A change that deletes a test names here the mutants that still die
 without it. The file is not collected by pytest. It needs pytest and
@@ -50,7 +53,6 @@ SIMPLEX = "src/pdnegate/simplex.py"
 ORACLES = "tests/oracles.py"
 CRITERION = "tests/test_acceptance.py::test_criterion_{}"
 CLASSIFY = "tests/test_analysis.py::TestClassify::{}"
-DICHOTOMY = "tests/test_analysis.py::TestClassifyPoint::test_dichotomy_for_pointwise_families"
 BIT_IDENTICAL = "tests/test_negators.py::TestKernelMatchesPointwise::test_bit_identical"
 LEAD = CLASSIFY.format("test_dist_level_lead_is_away_from_uniform")
 KIND = CLASSIFY.format("test_dist_level_witnesses_are_of_their_kind")
@@ -60,6 +62,8 @@ EXIT_CODES = "tests/test_cli.py::TestExitCodes::{}"
 CLI_CONVERGE = "tests/test_cli.py::TestConvergeCommand::{}"
 README_EXAMPLES = "tests/test_cli.py::TestReadmeExamples::test_examples_print_what_readme_shows"
 FIXED_POINT = "tests/test_analysis.py::TestFixedPoint::{}"
+PICKLE_BYTES = "tests/test_construction.py::test_pickle_bytes_match_constructed_copy"
+BITDUMP = "tests/test_bitdump.py::test_digest_matches_checked_in"
 
 MUTANTS = [
     # classify's linear verdict and witnesses, read from the theorem.
@@ -240,6 +244,23 @@ MUTANTS = [
         'state["_lo"], state["_hi"] = lo, hi', 'state["_lo"], state["_hi"] = hi, lo',
         ("tests/test_simplex.py::TestRecordedExtremes::test_factories",),
     ),
+    # The builders that skip __init__: the dict's key order and the sign of
+    # a recorded zero, which == and vars() == do not see.
+    Mutant(
+        "accepted-hi-first", SIMPLEX,
+        'state["_lo"], state["_hi"] = lo, hi', 'state["_hi"], state["_lo"] = hi, lo',
+        (PICKLE_BYTES,),
+    ),
+    Mutant(
+        "zero-rebuild-min-minus-zero", SIMPLEX,
+        "for v in dist.values]), 0.0, dist._hi)", "for v in dist.values]), -0.0, dist._hi)",
+        (PICKLE_BYTES, BITDUMP),
+    ),
+    Mutant(
+        "iterate-step-dist-first", DYNAMICS,
+        'state["k"], state["dist"] = k, dist', 'state["dist"], state["k"] = dist, k',
+        (PICKLE_BYTES,),
+    ),
     Mutant(
         "tol-simplex-1e-10", SIMPLEX,
         "_TOL_SIMPLEX = 1e-9", "_TOL_SIMPLEX = 1e-10",
@@ -326,12 +347,7 @@ MUTANTS = [
     Mutant(
         "ref-involutive-never", ORACLES,
         "involutive = abs(nnp - p) <= t", "involutive = False",
-        (DICHOTOMY, CLASSIFY.format("test_theorem_decides_inside_the_slack_band")),
-    ),
-    Mutant(
-        "ref-involutive-slack-1e-3", ORACLES,
-        "involutive = abs(nnp - p) <= t", "involutive = abs(nnp - p) <= 1e-3",
-        (DICHOTOMY,),
+        (CLASSIFY.format("test_theorem_decides_inside_the_slack_band"),),
     ),
     # The oracles' values.
     Mutant(
@@ -383,10 +399,10 @@ def copy_tree(dest: Path) -> None:
 
 def pytest(copy: Path, tests) -> tuple[int | None, str]:
     """pytest's exit code on ``tests`` in ``copy`` (None if it timed out),
-    and its output."""
+    and its output, which ends with the ``-rf`` summary of failures."""
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=f"{copy / 'src'}{os.pathsep + path if path else ''}")
-    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    cmd = [sys.executable, "-m", "pytest", "-q", "-rf", "-p", "no:cacheprovider", *tests]
     try:
         run = subprocess.run(
             cmd, cwd=copy, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
@@ -394,6 +410,13 @@ def pytest(copy: Path, tests) -> tuple[int | None, str]:
     except subprocess.TimeoutExpired:
         return None, f"timed out after {TIMEOUT_S} s"
     return run.returncode, run.stdout + run.stderr
+
+
+def unfailed(tests, out: str) -> list[str]:
+    """The tests that the ``-rf`` summary in ``out`` does not list as
+    failed; a test named without its parameters is failed by any case."""
+    ids = [line[7:].split(" - ")[0] for line in out.splitlines() if line.startswith("FAILED ")]
+    return [t for t in tests if not any(i == t or i.startswith(t + "[") for i in ids)]
 
 
 def main() -> int:
@@ -416,15 +439,17 @@ def main() -> int:
             text = path.read_text(encoding="utf-8")
             found = text.count(m.old)
             if found != 1:
-                code, status = None, f"STALE: anchor found {found} times in {m.file}"
+                status = f"STALE: anchor found {found} times in {m.file}"
             else:
                 path.write_text(text.replace(m.old, m.new), encoding="utf-8")
                 code, out = pytest(copy, m.tests)
-                status = {0: "SURVIVED", 1: "killed"}.get(code, f"BROKEN: pytest exited {code}")
-                if code not in (0, 1):
-                    status += "\n" + out
+                if code in (0, 1):
+                    survived = unfailed(m.tests, out)
+                    status = f"SURVIVED: {', '.join(survived)} did not fail" if survived else "killed"
+                else:
+                    status = f"BROKEN: pytest exited {code}\n{out}"
             shutil.rmtree(copy)
-            failures += code != 1
+            failures += status != "killed"
             print(f"{m.name}: {status}", flush=True)
     print(f"{len(MUTANTS) - failures} of {len(MUTANTS)} mutants killed")
     return 1 if failures else 0

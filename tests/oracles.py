@@ -215,9 +215,9 @@ def reference_converge(spec, dist, eps=1e-9, max_iter=1000):
     slack. As in ``converge``, a linear negator with |factor| < 1 is
     never matched."""
     if not eps > 0.0:
-        raise DomainError(f"eps must be > 0, got {eps!r}")
+        raise DomainError("eps must be > 0")
     if max_iter < 1:
-        raise DomainError(f"max_iter must be >= 1, got {max_iter}")
+        raise DomainError("max_iter must be >= 1")
 
     current = dist
     d0 = linf_to_uniform(current)  # a hand-built Dist is validated before the spec
@@ -322,7 +322,7 @@ def reference_classify(spec, n, samples, seed):
     if n < 2:
         raise DomainError("n must be >= 2")
     if samples < 1:
-        raise DomainError(f"samples must be >= 1, got {samples}")
+        raise DomainError("samples must be >= 1")
     alpha = _reference_alpha(spec)
     rng = random.Random(seed)
 

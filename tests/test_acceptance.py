@@ -38,7 +38,7 @@ from pdnegate import (
     random_dist,
     uniform_dist,
 )
-from conftest import EXAMPLE
+from conftest import ALPHA_GRID, EXAMPLE
 from oracles import (
     _reference_point_verdict,
     involutive_point,
@@ -46,8 +46,6 @@ from oracles import (
     yager_point,
     yager_power_point,
 )
-
-ALPHAS_11 = [i / 10 for i in range(11)]
 
 
 @contextmanager
@@ -100,7 +98,7 @@ def test_criterion_3_closed_form_oracle():
         rng = random.Random(99)
         for _ in range(10000):
             n = rng.randrange(2, 11)
-            alpha = rng.choice(ALPHAS_11)
+            alpha = rng.choice(ALPHA_GRID)
             k = rng.randrange(0, 31)
             p = rng.random()
             direct = p
@@ -158,7 +156,7 @@ def test_criterion_6_ranges_and_fixed_points():
     the uniform distribution) for every family, all to 1e-12."""
     with criterion("6 value ranges and fixed points"):
         for n in range(2, 11):
-            for alpha in ALPHAS_11:
+            for alpha in ALPHA_GRID:
                 for i in range(101):
                     p = i / 100
                     q = linear_point(p, n, alpha)
@@ -174,7 +172,7 @@ def test_criterion_6_ranges_and_fixed_points():
             for spec in all_specs:
                 assert max_abs_diff(negate(spec, u), u) <= 1e-12
             assert abs(yager_point(1.0 / n, n) - 1.0 / n) <= 1e-12
-            for alpha in ALPHAS_11:
+            for alpha in ALPHA_GRID:
                 assert abs(linear_point(1.0 / n, n, alpha) - 1.0 / n) <= 1e-12
             for seed in range(10):
                 d = random_dist(n, seed=seed)

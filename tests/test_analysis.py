@@ -6,7 +6,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pdnegate import (
@@ -33,46 +33,11 @@ from pdnegate import analysis
 from conftest import EXAMPLE, NON_SPECS, dists, pointwise_specs
 from oracles import (
     TOL_EQ,
-    _reference_point_verdict,
     expovariate_random_dist,
-    involutive_point,
     linear_point,
     negation_axioms_check,
     reference_classify,
-    yager_point,
 )
-
-
-def classify_point(f, p, n):
-    """The bracket flags of ``p`` under the value map ``f``, applied
-    twice."""
-    np_ = f(p)
-    return _reference_point_verdict(p, np_, f(np_), n)
-
-
-class TestClassifyPoint:
-    @given(dists(min_n=2, max_n=8))
-    @settings(max_examples=200)
-    def test_dichotomy_for_pointwise_families(self, d):
-        """Contracting or expanding holds at every value; both exactly
-        when the value returns to itself after two applications."""
-        n = d.n
-        evaluators = [lambda p: yager_point(p, n), lambda p: 1.0 / n]
-        evaluators += [
-            (lambda a: lambda p: linear_point(p, n, a))(a) for a in (0.3, 0.9)
-        ]
-        once = negate(Involutive(), d)
-        for p in list(d) + [0.0, 1.0 / n]:
-            for f in evaluators:
-                v = classify_point(f, p, n)
-                assert v.contracting or v.expanding
-                assert v.involutive == (v.contracting and v.expanding)
-                assert v.strictly_contracting <= v.contracting
-            # The involutive family, re-evaluated in the negated context,
-            # returns every value to itself.
-            p = p if d._lo <= p <= d._hi else d._lo
-            back = involutive_point(involutive_point(p, d), once)
-            assert abs(back - p) <= TOL_EQ
 
 
 class TestClassify:
@@ -197,8 +162,9 @@ class TestClassify:
     def test_parameter_domains(self, non_spec):
         with pytest.raises(DomainError):
             classify(Yager(), 1, 10, seed=0)
-        with pytest.raises(DomainError):
-            classify(Yager(), 3, 0, seed=0)
+        for samples in (0, -10**5000):  # too many digits to format
+            with pytest.raises(DomainError):
+                classify(Yager(), 3, samples, seed=0)
         with pytest.raises(TypeError, match="^not a negator spec: "):
             classify(non_spec, 3, 10, seed=0)
 
@@ -245,6 +211,8 @@ class TestClassify:
         )
 
     @given(st.tuples(*[st.floats(min_value=0.0, allow_infinity=False)] * 3))
+    # Expanding although d1 < d0: its bound is the larger of d1 and d2.
+    @example((0.5, 0.1, 1.0))
     def test_dist_level_start_contracts_or_expands(self, ds):
         # A start that is not contracting has d2 > max(d0, d1) + t >= d0,
         # so it is expanding: no distribution-level start is neither.

@@ -20,7 +20,7 @@ from pdnegate import (
     make_dist,
 )
 
-from conftest import all_specs, dists
+from conftest import EXAMPLE, all_specs, dists
 
 
 def _outcome(fn, spec, start, eps, max_iter):
@@ -59,7 +59,7 @@ def test_matches_reference(spec, start, eps, max_iter):
 SLOW = [make_dist([0.3, 0.7]), make_dist([0.5 - 6e-4, 0.5 + 6e-4])]
 FIXED = [(Linear(alpha), start, 1e-12, 1000) for alpha in (0.05, 0.001) for start in SLOW] + [
     (Yager(), make_dist([0.3, 0.7]), 1e-12, 1000),
-    (Involutive(), make_dist([0.1, 0.2, 0.15, 0.3, 0.25]), 1e-12, 1000),
+    (Involutive(), EXAMPLE, 1e-12, 1000),
     (Tsallis(0.5), make_dist([0.3, 0.7]), 1e-12, 1000),
     (Tsallis(-1.0), make_dist([0.0, 1.0]), 1e-12, 1000),
     (Tsallis(1.01), make_dist([0.5 - 6e-7, 0.5 + 6e-7]), 1e-12, 1000),
