@@ -103,7 +103,12 @@ def make_dist(values: Iterable[float]) -> Dist:
     two values, ``RangeError`` for a value outside [0, 1], ``SumError``
     when the total strays from one by more than ``_TOL_SIMPLEX`` (1e-9).
     """
-    dist = _validated(tuple(map(float, values)))
+    values = tuple(values)  # read twice if float() overflows
+    try:
+        vals = tuple(map(float, values))
+    except OverflowError:  # an int past the largest float: ints outside [0, 1] stay ints
+        vals = tuple([v if isinstance(v, int) and abs(v) > 1 else float(v) for v in values])
+    dist = _validated(vals)
     if dist._lo == 0.0:
         # Store -0.0 as 0.0, which keeps the sums; other values stay as they are.
         return _accepted(tuple([v or 0.0 for v in dist.values]), 0.0, dist._hi)
@@ -151,7 +156,8 @@ def _accepted(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
     # else the sum.
     for i, v in enumerate(vals):
         if not 0.0 <= v <= 1.0:
-            raise RangeError(f"value {v!r} at position {i + 1} outside [0, 1]")
+            shown = f"{v!r} " if isinstance(v, float) else ""  # str() of a huge int raises
+            raise RangeError(f"value {shown}at position {i + 1} outside [0, 1]")
     raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {_TOL_SIMPLEX}")
 
 

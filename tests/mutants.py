@@ -56,6 +56,7 @@ CLASSIFY = "tests/test_analysis.py::TestClassify::{}"
 BIT_IDENTICAL = "tests/test_negators.py::TestKernelMatchesPointwise::test_bit_identical"
 LEAD = CLASSIFY.format("test_dist_level_lead_is_away_from_uniform")
 KIND = CLASSIFY.format("test_dist_level_witnesses_are_of_their_kind")
+NOT_ALWAYS_EXPANDING = CLASSIFY.format("test_tsallis_negative_k_not_always_expanding")
 CONVERGE = "tests/test_dynamics.py::TestConverge::{}"
 FACTOR_N5 = "tests/test_dynamics.py::TestContractionFactor::test_yager_n5"
 EXIT_CODES = "tests/test_cli.py::TestExitCodes::{}"
@@ -64,6 +65,8 @@ README_EXAMPLES = "tests/test_cli.py::TestReadmeExamples::test_examples_print_wh
 FIXED_POINT = "tests/test_analysis.py::TestFixedPoint::{}"
 PICKLE_BYTES = "tests/test_construction.py::test_pickle_bytes_match_constructed_copy"
 BITDUMP = "tests/test_bitdump.py::test_digest_matches_checked_in"
+MEASURES = "tests/test_simplex.py::TestMeasuresExact::test_random_point_and_uniform"
+EXACT = "tests/test_negators.py::TestExactOracle::test_every_family"
 
 MUTANTS = [
     # classify's linear verdict and witnesses, read from the theorem.
@@ -105,7 +108,7 @@ MUTANTS = [
         "judge-contracting-any", ANALYSIS,
         "elif all(v.contracting for v in verdicts):",
         "elif any(v.contracting for v in verdicts):",
-        (CLASSIFY.format("test_tsallis_negative_k_not_always_expanding"),),
+        (NOT_ALWAYS_EXPANDING,),
     ),
     Mutant(
         "judge-lead-anywhere", ANALYSIS,
@@ -121,24 +124,27 @@ MUTANTS = [
         "judge-expanding-any", ANALYSIS,
         "elif all(v.expanding for v in verdicts):",
         "elif any(v.expanding for v in verdicts):",
-        (CLASSIFY.format("test_tsallis_negative_k_not_always_expanding"),),
+        (NOT_ALWAYS_EXPANDING,),
     ),
     Mutant(
         "judge-expanding-keeps-involutive", ANALYSIS,
         "first(lambda v: not v.involutive)", "first(lambda v: True)",
         (KIND,),
     ),
+    # The mixed picks: tsallis at n = 3 samples a start that is both
+    # contracting and expanding before the first contracting-only one
+    # (k = -0.5) and before the first expanding-only one (k = -0.25).
     Mutant(
         "judge-mixed-contracting-any", ANALYSIS,
         "first(lambda v: v.contracting and not v.expanding, 1)",
         "first(lambda v: v.contracting, 1)",
-        (KIND,),
+        (NOT_ALWAYS_EXPANDING,),
     ),
     Mutant(
         "judge-mixed-expanding-any", ANALYSIS,
         "first(lambda v: v.expanding and not v.contracting, 1)",
         "first(lambda v: v.expanding, 1)",
-        (KIND,),
+        (NOT_ALWAYS_EXPANDING,),
     ),
     # fixed_point reads the paper's theorem: n, then the spec, then 1/n.
     Mutant(
@@ -156,6 +162,12 @@ MUTANTS = [
         "    _check_length(n)\n    _linear_alpha(spec)  #",
         "    _linear_alpha(spec)\n    _check_length(n)  #",
         (FIXED_POINT.format("test_length_domain"),),
+    ),
+    # random_dist, pinned to the stdlib's exponential variates.
+    Mutant(
+        "random-dist-seed+1", ANALYSIS,
+        "random.Random(seed).random", "random.Random(seed + 1).random",
+        ("tests/test_analysis.py::TestRandomDist::test_bits_match_expovariate_draws", BITDUMP),
     ),
     # A family that moves the uniform distribution: fixed_point does not
     # check it at run time, so the tests must.
@@ -178,10 +190,25 @@ MUTANTS = [
         (FACTOR_N5, "tests/test_dynamics.py::TestExactRate::test_linf_scales_by_factor_power"),
     ),
     Mutant(
+        "factor-alpha-scaled", NEGATORS,
+        "return -(1.0 - alpha) / (n - 1)", "return -(1.0 - alpha * 0.999) / (n - 1)",
+        (CRITERION.format("3_closed_form_oracle"),
+         "tests/test_dynamics.py::TestExactRate::test_linf_scales_by_factor_power",
+         "tests/test_dynamics.py::TestConvergeTheorem::test_linear_orbit_outcome"),
+    ),
+    Mutant(
+        "power-point-k0-uniform", DYNAMICS,
+        "return 1.0 / n + a**k * (p - 1.0 / n)",
+        "return 1.0 / n if k == 0 else 1.0 / n + a**k * (p - 1.0 / n)",
+        (CRITERION.format("3_closed_form_oracle"),
+         "tests/test_dynamics.py::TestClosedForms::test_yager_form_matches_linear_form"),
+    ),
+    Mutant(
         "cycle-test-skips-unit-factor", DYNAMICS,
         "abs(contraction_factor(n, alpha)) >= 1.0", "abs(contraction_factor(n, alpha)) > 1.0",
         (CONVERGE.format("test_yager_n2_oscillates_with_period_two"),
-         CRITERION.format("5_degenerate_case_honesty")),
+         CRITERION.format("5_degenerate_case_honesty"),
+         "tests/test_dynamics.py::TestConvergeTheorem::test_true_cycle_found_at_first_return"),
     ),
     Mutant(
         "converged-steps+1", DYNAMICS,
@@ -219,6 +246,23 @@ MUTANTS = [
         "nums = [mp - p for p in vals]\n        total = len(vals) * mp - 1.0",
         ("tests/test_negators.py::TestKernelMatchesPointwise::test_vertex_after_two_steps",),
     ),
+    # The kernel's values against their exact ones, and its domain.
+    Mutant(
+        "tsallis-k2-cubed", NEGATORS,
+        "[1.0 - p**k for p in vals]", "[1.0 - p ** (3.0 if k == 2.0 else k) for p in vals]",
+        (EXACT,),
+    ),
+    Mutant(
+        "tsallis-negative-k-accepts-zero", NEGATORS,
+        "if k < 0.0 and lo <= 0.0:", "if k < 0.0 and lo < 0.0:",
+        (EXACT,),
+    ),
+    # Numerators p in place of mp - p keep the sum but not the order.
+    Mutant(
+        "involutive-numerators-p", NEGATORS,
+        "nums = [mp - p for p in vals]", "nums = [p for p in vals]",
+        ("tests/test_negators.py::TestNegationAxioms::test_output_reverses_order", EXACT),
+    ),
     Mutant(
         "tol-eq-5e-10", SIMPLEX,
         "_TOL_EQ = 1e-9", "_TOL_EQ = 5e-10",
@@ -240,9 +284,38 @@ MUTANTS = [
          EXIT_CODES.format("test_domain_error_exits_2[fixed_point_huge_n]")),
     ),
     Mutant(
+        "make-dist-huge-int-overflows", SIMPLEX,
+        "[v if isinstance(v, int) and abs(v) > 1 else float(v) for v in values]",
+        "[float(v) for v in values]",
+        ("tests/test_simplex.py::TestMakeDist::test_range_error_names_first_bad_position",
+         "tests/test_negators.py::TestInvalidHandBuiltDist::test_raises_simplex_error"),
+    ),
+    Mutant(
         "recorded-extremes-swapped", SIMPLEX,
         'state["_lo"], state["_hi"] = lo, hi', 'state["_lo"], state["_hi"] = hi, lo',
         ("tests/test_simplex.py::TestRecordedExtremes::test_factories",),
+    ),
+    # The measures, pinned bit for bit to their generator-expression
+    # definitions.
+    Mutant(
+        "entropy-one-plus-v", SIMPLEX,
+        "fsum([(1.0 - v) * v for v", "fsum([(1.0 + v) * v for v",
+        (MEASURES, "tests/test_simplex.py::test_example_entropy_exact_fraction"),
+    ),
+    Mutant(
+        "entropy-plain-sum", SIMPLEX,
+        "math.fsum([(1.0 - v) * v for v", "sum([(1.0 - v) * v for v",
+        (MEASURES,),
+    ),
+    Mutant(
+        "linf-upper-side-only", SIMPLEX,
+        "return max(hi - u, u - lo)", "return hi - u",
+        (MEASURES,),
+    ),
+    Mutant(
+        "max-abs-diff-signed", SIMPLEX,
+        "return max(map(abs, map(operator.sub,", "return max((map(operator.sub,",
+        (MEASURES,),
     ),
     # The builders that skip __init__: the dict's key order and the sign of
     # a recorded zero, which == and vars() == do not see.
@@ -265,7 +338,8 @@ MUTANTS = [
         "tol-simplex-1e-10", SIMPLEX,
         "_TOL_SIMPLEX = 1e-9", "_TOL_SIMPLEX = 1e-10",
         (EXIT_CODES.format("test_bad_sum_is_input_error"),
-         "tests/test_simplex.py::TestMakeDist::test_sum_tolerance"),
+         "tests/test_simplex.py::TestMakeDist::test_sum_tolerance",
+         "tests/test_simplex.py::TestSameDecisions::test_short_rejected_and_coerced_inputs"),
     ),
     Mutant(
         "entropy-unchecked", SIMPLEX,

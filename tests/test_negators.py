@@ -138,6 +138,8 @@ class TestInvalidHandBuiltDist:
     # Too short for any family's arithmetic to run.
     @example(spec=Tsallis(-1.0), values=())
     @example(spec=Involutive(), values=(1.0,))
+    # Past the largest float: float() overflows, and str() would raise.
+    @example(spec=Yager(), values=(10**5000, 0.0))
     def test_raises_simplex_error(self, spec, values):
         with pytest.raises(SimplexError) as rejected:
             make_dist(values)
@@ -179,6 +181,13 @@ class TestExactOracle:
     @example(Tsallis(1e-15), make_dist([0.2, 0.3, 0.5]))
     @example(Tsallis(-1e-8), make_dist([0.2, 0.3, 0.5]))
     @example(Involutive(), near_complement(10_000, 2))
+    # Hand values: yager's (0, 1/4, 1/4, 1/4, 1/4) and tsallis k = 2's
+    # (75, 91, 96)/262; tsallis k < 0 on a positive start, and on a zero
+    # entry, where it raises DomainError.
+    @example(Yager(), point_dist(5, 1))
+    @example(Tsallis(2.0), make_dist([0.5, 0.3, 0.2]))
+    @example(Tsallis(-1.0), make_dist([0.5, 0.3, 0.2]))
+    @example(Tsallis(-1.0), point_dist(3, 1))
     @settings(max_examples=300, deadline=None)
     def test_every_family(self, spec, d):
         assert_near_exact(spec, d)
@@ -224,29 +233,6 @@ class TestFailedNegation:
 
 
 class TestNegateExamples:
-    def test_yager_point_dist(self):
-        q = negate(Yager(), point_dist(5, 1))
-        want = (0.0, 0.25, 0.25, 0.25, 0.25)
-        assert max(abs(a - b) for a, b in zip(q, want)) <= 1e-12
-
-    def test_uniform_is_constant(self):
-        q = negate(Uniform(), make_dist([0.7, 0.1, 0.1, 0.1]))
-        assert q.values == (0.25, 0.25, 0.25, 0.25)
-
-    def test_tsallis_k2_hand_value(self):
-        # denominator 3 - (0.25 + 0.09 + 0.04) = 2.62
-        q = negate(Tsallis(2.0), make_dist([0.5, 0.3, 0.2]))
-        want = [Fraction(75, 262), Fraction(91, 262), Fraction(96, 262)]
-        assert max(abs(a - float(b)) for a, b in zip(q, want)) <= 1e-12
-
-    def test_tsallis_negative_k_rejects_zero_entries(self):
-        with pytest.raises(DomainError):
-            negate(Tsallis(-1.0), point_dist(3, 1))
-
-    def test_tsallis_negative_k_on_positive_dist(self):
-        q = negate(Tsallis(-1.0), make_dist([0.5, 0.3, 0.2]))
-        assert abs(math.fsum(q) - 1.0) <= 1e-9
-
     def test_tsallis_negative_k_gives_no_negative_zero(self):
         # p**k rounds to 1 for the first entry, which then maps to zero.
         q = negate(Tsallis(-1.0), make_dist([1 - 2**-53, 2**-53]))
@@ -327,63 +313,10 @@ class TestNegationAxioms:
 
 
 class TestTsallisReductions:
-    @given(dists(min_n=2, max_n=8))
-    @settings(max_examples=200)
-    def test_k1_equals_yager(self, d):
-        a = negate(Tsallis(1.0), d)
-        b = negate(Yager(), d)
-        assert max_abs_diff(a, b) <= 1e-12
-
     def test_involutive_equals_yager_when_mp_is_one(self):
         d = point_dist(4, 2)
         assert d._hi + d._lo == 1.0
         assert negate(Involutive(), d).values == negate(Yager(), d).values
-
-
-class TestInvolutiveStructure:
-    @given(positive_dists(min_n=2, max_n=10))
-    @settings(max_examples=300)
-    def test_stats_rewriting(self, d):
-        """Negation maps max to max/(n*MP-1), min to min/(n*MP-1), and
-        MP to MP/(n*MP-1)."""
-        mp = d._hi + d._lo
-        q = negate(Involutive(), d)
-        denom = d.n * mp - 1.0
-        assert abs(q._hi - d._hi / denom) <= 1e-12
-        assert abs(q._lo - d._lo / denom) <= 1e-12
-        assert abs(q._hi + q._lo - mp / denom) <= 1e-12
-
-    @given(dists(min_n=2, max_n=8))
-    @settings(max_examples=200)
-    def test_sign_pattern(self, d):
-        """Values below 1/n negate to above 1/n and vice versa."""
-        n = d.n
-        for p, q in zip(d, negate(Involutive(), d)):
-            if p < 1.0 / n - 1e-12:
-                assert q > 1.0 / n - 1e-12
-            if p > 1.0 / n + 1e-12:
-                assert q < 1.0 / n + 1e-12
-
-    def test_unique_fixed_value_by_scanning(self):
-        """N(p) - p changes sign only at 1/n, for many sampled contexts."""
-        for seed in range(40):
-            d = random_dist(5, seed=seed)
-            lo, hi = d._lo, d._hi
-            prev_sign = None
-            crossings = 0
-            for i in range(201):
-                p = lo + (hi - lo) * i / 200
-                diff = involutive_point(p, d) - p
-                sign = 0 if abs(diff) <= 1e-15 else (1 if diff > 0 else -1)
-                if prev_sign is not None and sign != 0 and prev_sign != 0:
-                    if sign != prev_sign:
-                        crossings += 1
-                        # The crossing must straddle 1/n.
-                        prev_p = lo + (hi - lo) * (i - 1) / 200
-                        assert prev_p <= 0.2 <= p
-                if sign != 0:
-                    prev_sign = sign
-            assert crossings <= 1
 
 
 class TestNegatorSyntax:

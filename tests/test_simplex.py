@@ -37,7 +37,6 @@ from pdnegate import (
 
 from bitdump import near_complement
 from conftest import EXAMPLE, WIDE_SPECS, all_specs, dists, wide_inputs
-from oracles import TOL_EQ
 
 TOL_SIMPLEX = 1e-9  # the one sum tolerance of validation
 
@@ -56,14 +55,6 @@ class TestMakeDist:
         with pytest.raises(LengthError):
             make_dist([])
 
-    def test_out_of_range(self):
-        with pytest.raises(RangeError):
-            make_dist([-0.1, 1.1])
-        with pytest.raises(RangeError):
-            make_dist([1.5, -0.5])
-        with pytest.raises(RangeError):
-            make_dist([float("nan"), 1.0])
-
     @pytest.mark.parametrize(
         "values, position",
         [
@@ -76,6 +67,11 @@ class TestMakeDist:
             # Two values out of range: the first is named.
             ([0.5, 1.5, -0.2, 0.2], 2),
             ([0.2, -0.2, 1.5, 0.5], 2),
+            ([-0.1, 1.1], 1),
+            ([1.5, -0.5], 1),
+            ([math.nan, 1.0], 1),
+            # Past the largest float, where float() overflows.
+            ([10**400, 0.0], 1),
         ],
     )
     def test_range_error_names_first_bad_position(self, values, position):
@@ -85,13 +81,6 @@ class TestMakeDist:
     def test_in_range_bad_sum_is_sum_error(self):
         with pytest.raises(SumError, match="values sum to 0.4, not 1"):
             make_dist([0.1, 0.1, 0.2])
-
-    def test_bad_sum_is_rejected_not_repaired(self):
-        """Constructors reject rather than renormalize."""
-        with pytest.raises(SumError):
-            make_dist([0.5, 0.6])
-        with pytest.raises(SumError):
-            make_dist([0.2, 0.2])
 
     def test_sum_tolerance(self):
         make_dist([0.5, 0.5 + 5e-10])
@@ -188,7 +177,7 @@ class TestSameDecisions:
 
     @pytest.mark.parametrize(
         "values",
-        [[], [1.0], [0.5, 0.6], [1.0, 2e-9], [-0.0, 1.0], [0, 1], ["0.5", "0.5"]],
+        [[], [1.0], [0.5, 0.6], [1.0, 2e-9], [-0.0, 1.0], [0, 1], ["0.5", "0.5"], [0.2, 0.2]],
     )
     def test_short_rejected_and_coerced_inputs(self, values):
         assert _outcome(make_dist, values) == _outcome(_reference_make_dist, values)
@@ -249,63 +238,6 @@ class TestFactories:
                 point_dist(3, i)
 
 
-class TestEntropy:
-    def test_point_dist_is_zero(self):
-        for n in range(2, 7):
-            assert entropy(point_dist(n, 1)) == 0.0
-
-    def test_uniform_two(self):
-        assert entropy(uniform_dist(2)) == pytest.approx(0.5, abs=1e-15)
-
-    def test_example_value(self):
-        # 1 - (0.01 + 0.04 + 0.0225 + 0.09 + 0.0625) = 0.775
-        assert entropy(EXAMPLE) == pytest.approx(0.775, abs=1e-12)
-
-    def test_max_entropy(self):
-        """The largest entropy at length n, (n-1)/n, is the uniform one's."""
-        assert entropy(uniform_dist(5)) == pytest.approx(4 / 5, abs=1e-15)
-        assert entropy(uniform_dist(2)) == 1 / 2
-
-    @given(dists())
-    def test_bounds(self, d):
-        """0 <= H(P) <= (n-1)/n for every valid distribution."""
-        h = entropy(d)
-        assert -1e-12 <= h <= (d.n - 1) / d.n + 1e-12
-
-    @given(dists())
-    def test_two_evaluation_orders_agree(self, d):
-        """sum((1-p)p) and 1 - sum(p^2) are the same quantity."""
-        alt = 1.0 - math.fsum(v * v for v in d)
-        assert abs(entropy(d) - alt) <= 1e-12
-
-    @given(dists())
-    def test_max_only_at_uniform(self, d):
-        h = entropy(d)
-        if abs(h - (d.n - 1) / d.n) <= 1e-12:
-            assert linf_to_uniform(d) <= 1e-5
-
-    @given(dists())
-    def test_zero_only_at_point_dists(self, d):
-        if entropy(d) <= 1e-12:
-            assert max(d) >= 1.0 - 1e-5
-
-
-class TestLinfToUniform:
-    def test_uniform_is_zero(self):
-        assert linf_to_uniform(uniform_dist(4)) == 0.0
-
-    def test_point(self):
-        assert linf_to_uniform(point_dist(5, 1)) == pytest.approx(0.8, abs=1e-15)
-
-    def test_example(self):
-        assert linf_to_uniform(EXAMPLE) == pytest.approx(0.1, abs=1e-15)
-
-    @given(dists())
-    def test_zero_iff_uniform(self, d):
-        if linf_to_uniform(d) <= TOL_EQ:
-            assert max_abs_diff(d, uniform_dist(d.n)) <= 1e-9
-
-
 class TestStats:
     """The recorded max and min, and their sum mp, which the involutive
     family reads."""
@@ -324,11 +256,6 @@ class TestStats:
 
 
 class TestComparison:
-    def test_max_abs_diff(self):
-        a = make_dist([0.5, 0.5])
-        b = make_dist([0.4, 0.6])
-        assert max_abs_diff(a, b) == pytest.approx(0.1, abs=1e-15)
-
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatchError):
             max_abs_diff(uniform_dist(2), uniform_dist(3))
