@@ -1,4 +1,5 @@
-"""Classification, involution checks, fixed points, random distributions."""
+"""Classification, involution checks, fixed points, axiom oracle, random
+distributions."""
 
 import random
 from dataclasses import replace
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from pdnegate import (
     DomainError,
     Involutive,
+    LengthMismatchError,
     Linear,
     Tsallis,
     Uniform,
@@ -28,11 +30,12 @@ from pdnegate import (
 
 from pdnegate import analysis
 
-from conftest import NON_SPECS, dists, pointwise_specs
+from conftest import EXAMPLE, NON_SPECS, dists, pointwise_specs
 from oracles import (
     TOL_EQ,
     expovariate_random_dist,
     linear_point,
+    negation_axioms_check,
     reference_classify,
 )
 
@@ -157,6 +160,11 @@ class TestClassify:
             for n in (2, 3, 5):
                 r = classify(spec, n, samples=60, seed=3)
                 assert r.verdict is not Verdict.MIXED, (spec, n)
+
+    def test_determinism(self):
+        a = classify(Tsallis(2.0), 4, samples=40, seed=9)
+        b = classify(Tsallis(2.0), 4, samples=40, seed=9)
+        assert a == b
 
     @NON_SPECS
     def test_parameter_domains(self, non_spec):
@@ -287,7 +295,38 @@ class TestFixedPoint:
             fixed_point(non_spec, 3)
 
 
+class TestNegationAxiomsCheck:
+    def test_worked_example_pair(self):
+        q = negate(Involutive(), EXAMPLE)
+        assert negation_axioms_check(EXAMPLE, q).ok
+
+    def test_constructed_violation(self):
+        p = make_dist([0.2, 0.8])
+        check = negation_axioms_check(p, p)
+        assert not check.ok
+        assert "order not reversed" in check.violation
+
+    def test_all_ties_pass(self):
+        u = uniform_dist(3)
+        assert negation_axioms_check(u, u).ok
+
+    def test_tie_mapped_to_non_tie_fails(self):
+        p = make_dist([0.25, 0.25, 0.5])
+        q = make_dist([0.2, 0.3, 0.5])
+        assert not negation_axioms_check(p, q).ok
+
+    def test_length_mismatch(self):
+        with pytest.raises(LengthMismatchError):
+            negation_axioms_check(uniform_dist(2), uniform_dist(3))
+
+
 class TestRandomDist:
+    def test_deterministic(self):
+        assert random_dist(3, seed=42).values == random_dist(3, seed=42).values
+
+    def test_different_seeds_differ(self):
+        assert random_dist(3, seed=1).values != random_dist(3, seed=2).values
+
     def test_length_domain(self):
         with pytest.raises(DomainError):
             random_dist(1, seed=0)
