@@ -172,7 +172,7 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
     neither (see the module docstring).
     """
     _check_length(n)
-    if samples < 1:
+    if not samples >= 1:
         raise DomainError("samples must be >= 1")
     alpha = _linear_alpha(spec)
     if alpha is not None:

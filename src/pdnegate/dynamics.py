@@ -18,13 +18,13 @@ step-by-step iterator so the two can serve as mutual oracles.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import fsum
 
 from .errors import DomainError
 from .simplex import (
     _TOL_EQ,
     Dist,
     _new,
-    entropy,
     max_abs_diff,
 )
 from .negators import NegatorSpec, _linear_alpha, contraction_factor, negate
@@ -111,7 +111,7 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
     Every intermediate distribution passes full validation, so the trace
     doubles as a running check that negation preserves the simplex.
     """
-    if steps < 0:
+    if not steps >= 0:
         raise DomainError("steps must be >= 0")
     dist._lo  # the first read of a hand-built Dist validates it; len may not
     _linear_alpha(spec)  # a non-spec raises here, even if negate never runs
@@ -121,12 +121,15 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
         if k:
             dist = negate(spec, dist)
         # OrbitStep(k, dist, entropy(dist), linf_to_uniform(dist)), bit for bit,
-        # without the generated __init__: safe, as OrbitStep is frozen, has no
-        # __post_init__ and keeps its fields, in this order, in its dict.
+        # without the generated __init__ or the calls: safe, as OrbitStep is
+        # frozen, has no __post_init__ and keeps its fields, in this order, in
+        # its dict. The linf is the one max(above, below) picks.
+        above, below = dist._hi - u, u - dist._lo
         step = _new(OrbitStep)
         state = step.__dict__
         state["k"], state["dist"] = k, dist
-        state["entropy"], state["linf"] = entropy(dist), max(dist._hi - u, u - dist._lo)
+        state["entropy"] = fsum([(1.0 - v) * v for v in dist.values])
+        state["linf"] = below if below > above else above
         trace.append(step)
     return OrbitTrace(tuple(trace))
 
@@ -134,7 +137,7 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
 def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
     """k-fold application of the linear negator to ``p``, in closed form."""
     a = contraction_factor(n, alpha)
-    if k < 0:
+    if not k >= 0:
         raise DomainError("k must be >= 0")
     return 1.0 / n + a**k * (p - 1.0 / n)
 
@@ -185,7 +188,7 @@ def converge(
     """
     if not eps > 0.0:
         raise DomainError("eps must be > 0")
-    if max_iter < 1:
+    if not max_iter >= 1:
         raise DomainError("max_iter must be >= 1")
 
     current = dist
@@ -212,7 +215,7 @@ def converge(
             before, previous = previous, current
             continue
         gap = None  # not scanned; the next step scans it if it needs it
-        if abs(current._hi - before._hi) <= t and abs(current._lo - before._lo) <= t:
+        if -t <= current._hi - before._hi <= t and -t <= current._lo - before._lo <= t:
             gap = max_abs_diff(current, previous)
             if gap > t:
                 if last_gap is None:

@@ -107,6 +107,66 @@ NegatorSpec = Yager | Uniform | Linear | Tsallis | Involutive
 _POW_MIN_K = 2**-4
 
 
+# One kernel per family keeps comprehensions out of negate: before 3.12 each
+# name a comprehension reads from its function is a closure cell, made on
+# every call. Each kernel hands _accepted its floats, skipping make_dist's
+# coercion, and their extremes. Every family but tsallis reverses order
+# through ops that are monotone under round-to-nearest (1 - p or mp - p, a
+# multiply by w >= 0, a divide by a positive d or total, an add of a), so its
+# output's extremes are its own expression at the input's max and min, equal
+# to min(out) and max(out) exactly. Tsallis scans its output: libm's pow is
+# not guaranteed monotone.
+
+
+def _yager(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
+    d = len(vals) - 1.0  # float / float is faster than float / int, same bits
+    out = [(1.0 - p) / d for p in vals]
+    return _accepted(tuple(out), (1.0 - hi) / d, (1.0 - lo) / d)
+
+
+def _uniform(n: int) -> Dist:
+    u = 1.0 / n
+    return _accepted(tuple([u] * n), u, u)
+
+
+def _linear(vals: tuple[float, ...], lo: float, hi: float, alpha: float) -> Dist:
+    n = len(vals)
+    a, w, d = alpha / n, 1.0 - alpha, n - 1.0
+    out = [a + w * (1.0 - p) / d for p in vals]
+    return _accepted(tuple(out), a + w * (1.0 - hi) / d, a + w * (1.0 - lo) / d)
+
+
+def _tsallis(vals: tuple[float, ...], lo: float, k: float) -> Dist:
+    if k < 0.0 and lo <= 0.0:
+        raise DomainError("tsallis with k < 0 requires strictly positive probabilities")
+    # Numerators 1 - p**k, or p**k - 1 for k < 0, so that each is >= 0
+    # and +0.0 where p**k rounds to 1. Below |k| = _POW_MIN_K they
+    # cancel, so they are read as |expm1(k*log(p))|, with 1.0 for p = 0.
+    try:
+        if abs(k) >= _POW_MIN_K:
+            nums = [1.0 - p**k for p in vals] if k > 0.0 else [p**k - 1.0 for p in vals]
+        else:
+            nums = [abs(math.expm1(k * math.log(p))) if p else 1.0 for p in vals]
+        total = math.fsum(nums)
+    except OverflowError:
+        raise DomainError(f"tsallis:k={k!r} overflows p**k on this distribution") from None
+    # Below the smallest normal float the numerators keep only a few
+    # bits, as for k = 1e-320.
+    if not total >= 2**-1022:
+        raise DomainError(f"tsallis:k={k!r} gives numerators that sum to {total!r}")
+    out = [x / total for x in nums]
+    return _accepted(tuple(out), min(out), max(out))
+
+
+def _involutive(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
+    # total > 0 for every valid Dist (TestStats in test_simplex.py).
+    mp = hi + lo
+    nums = [mp - p for p in vals]
+    total = math.fsum(nums)
+    out = [x / total for x in nums]
+    return _accepted(tuple(out), (mp - hi) / total, (mp - lo) / total)
+
+
 def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     """Apply one negation step, returning a validated distribution.
 
@@ -121,71 +181,27 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
     ``spec`` must be an instance of one of the five spec classes itself:
     any other value, a subclass's instance too, raises ``TypeError``.
 
-    Each family's arithmetic is written out here with its per-call
+    Each family's arithmetic is its own function, with its per-call
     constants hoisted, in the same operation order as the references
-    ``yager_point``, ``linear_point`` and ``involutive_point`` in the
-    test suite's ``tests/oracles.py``, so the outputs equal theirs bit
-    for bit.
+    ``yager_point``, ``linear_point`` and ``involutive_point`` in the test
+    suite's ``tests/oracles.py``, so the outputs equal theirs bit for bit.
     """
     lo, hi = dist._lo, dist._hi
-    vals = dist.values
-    n = len(vals)
-    # Each branch replaces lo and hi by its output's extremes. Every family
-    # but tsallis reverses order through ops that are monotone under
-    # round-to-nearest (1 - p or mp - p, a multiply by w >= 0, a divide by
-    # a positive d or total, an add of a), so its output's extremes are its
-    # own expression at the input's max and min, equal to min(out) and
-    # max(out) exactly. Tsallis scans its output: libm's pow is not
-    # guaranteed monotone. Exact-class tests are cheaper than class
-    # patterns.
-    family = type(spec)
-    if family is Yager:
-        d = n - 1.0  # float / float is faster than float / int, same bits
-        out = [(1.0 - p) / d for p in vals]
-        lo, hi = (1.0 - hi) / d, (1.0 - lo) / d
-    elif family is Uniform:
-        lo = hi = 1.0 / n
-        out = [lo] * n
-    elif family is Linear:
-        alpha = spec.alpha
-        a, w, d = alpha / n, 1.0 - alpha, n - 1.0
-        out = [a + w * (1.0 - p) / d for p in vals]
-        lo, hi = a + w * (1.0 - hi) / d, a + w * (1.0 - lo) / d
-    elif family is Tsallis:
-        k = spec.k
-        if k < 0.0 and lo <= 0.0:
-            raise DomainError("tsallis with k < 0 requires strictly positive probabilities")
-        # Numerators 1 - p**k, or p**k - 1 for k < 0, so that each is >= 0
-        # and +0.0 where p**k rounds to 1. Below |k| = _POW_MIN_K they
-        # cancel, so they are read as |expm1(k*log(p))|, with 1.0 for p = 0.
-        try:
-            if abs(k) >= _POW_MIN_K:
-                nums = [1.0 - p**k for p in vals] if k > 0.0 else [p**k - 1.0 for p in vals]
-            else:
-                nums = [abs(math.expm1(k * math.log(p))) if p else 1.0 for p in vals]
-            total = math.fsum(nums)
-        except OverflowError:
-            raise DomainError(f"tsallis:k={k!r} overflows p**k on this distribution") from None
-        # Below the smallest normal float the numerators keep only a few
-        # bits, as for k = 1e-320.
-        if not total >= 2**-1022:
-            raise DomainError(f"tsallis:k={k!r} gives numerators that sum to {total!r}")
-        out = [x / total for x in nums]
-        lo, hi = min(out), max(out)
-    elif family is Involutive:
-        # total > 0 for every valid Dist (TestStats in test_simplex.py).
-        mp = hi + lo
-        nums = [mp - p for p in vals]
-        total = math.fsum(nums)
-        out = [x / total for x in nums]
-        lo, hi = (mp - hi) / total, (mp - lo) / total
-    else:
-        raise TypeError(f"not a negator spec: {spec!r}")
-    # Every value is a float already, so make_dist's coercion is skipped.
+    family = type(spec)  # exact-class tests are cheaper than class patterns
     try:
-        return _accepted(tuple(out), lo, hi)
+        if family is Yager:
+            return _yager(dist.values, lo, hi)
+        if family is Uniform:
+            return _uniform(len(dist.values))
+        if family is Linear:
+            return _linear(dist.values, lo, hi, spec.alpha)
+        if family is Tsallis:
+            return _tsallis(dist.values, lo, spec.k)
+        if family is Involutive:
+            return _involutive(dist.values, lo, hi)
     except (RangeError, SumError) as exc:
         raise DomainError(f"negated output fails validation: {exc}") from exc
+    raise TypeError(f"not a negator spec: {spec!r}")
 
 
 def _linear_alpha(spec: NegatorSpec) -> float | None:

@@ -106,13 +106,22 @@ def make_dist(values: Iterable[float]) -> Dist:
     values = tuple(values)  # read twice if float() overflows
     try:
         vals = tuple(map(float, values))
-    except OverflowError:  # an int past the largest float: ints outside [0, 1] stay ints
-        vals = tuple([v if isinstance(v, int) and abs(v) > 1 else float(v) for v in values])
+    except OverflowError:
+        vals = tuple([_float_or_huge(v) for v in values])
     dist = _validated(vals)
     if dist._lo == 0.0:
         # Store -0.0 as 0.0, which keeps the sums; other values stay as they are.
         return _accepted(tuple([v or 0.0 for v in dist.values]), 0.0, dist._hi)
     return dist
+
+
+def _float_or_huge(v: object) -> object:
+    """float(v), or ``v`` itself when it is a number past the largest float,
+    such as a huge int or ``Fraction``: validation then names its position."""
+    try:
+        return float(v)
+    except OverflowError:
+        return v
 
 
 def _validated(vals: tuple[float, ...]) -> Dist:
@@ -143,10 +152,8 @@ def _accepted(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
         # compensated and its error is smaller still. Past about
         # _TOL_SIMPLEX * 2**52 values (4.5e6) the margin exceeds the
         # tolerance and fsum decides every input.
-        if (
-            abs(sum(vals) - 1.0) <= _TOL_SIMPLEX - len(vals) * 2**-52
-            or abs(math.fsum(vals) - 1.0) <= _TOL_SIMPLEX
-        ):
+        slack = _TOL_SIMPLEX - len(vals) * 2**-52
+        if -slack <= sum(vals) - 1.0 <= slack or abs(math.fsum(vals) - 1.0) <= _TOL_SIMPLEX:
             dist = _new(Dist)
             state = dist.__dict__
             state["values"] = vals
@@ -163,7 +170,7 @@ def _accepted(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
 
 def _check_length(n: int) -> None:
     # Neither message formats n: str() of an int past 4300 digits raises.
-    if n < 2:
+    if not n >= 2:  # NaN fails too
         raise DomainError("n must be >= 2")
     if n > sys.float_info.max:  # exact for an int; 1.0 / n would overflow
         raise DomainError("n must be at most the largest float")

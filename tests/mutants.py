@@ -233,6 +233,17 @@ MUTANTS = [
         "        if k == 1:\n            dist = negate",
         ("tests/test_dynamics.py::TestIterate::test_trace_structure",),
     ),
+    # iterate's inlined measures, held to entropy() and linf_to_uniform().
+    Mutant(
+        "iterate-entropy-squares", DYNAMICS,
+        "fsum([(1.0 - v) * v for v in dist.values])", "fsum([v * v for v in dist.values])",
+        ("tests/test_dynamics.py::TestIterate::test_trace_structure",),
+    ),
+    Mutant(
+        "iterate-linf-upper-side-only", DYNAMICS,
+        "below if below > above else above", "above",
+        ("tests/test_dynamics.py::TestIterate::test_trace_structure",),
+    ),
     Mutant(
         "orbit-csv-no-final-newline", DYNAMICS,
         'return "\\n".join(lines) + "\\n"', 'return "\\n".join(lines)',
@@ -242,8 +253,8 @@ MUTANTS = [
     # can put an output past 1.
     Mutant(
         "involutive-total-n-mp-1", NEGATORS,
-        "nums = [mp - p for p in vals]\n        total = math.fsum(nums)",
-        "nums = [mp - p for p in vals]\n        total = len(vals) * mp - 1.0",
+        "nums = [mp - p for p in vals]\n    total = math.fsum(nums)",
+        "nums = [mp - p for p in vals]\n    total = len(vals) * mp - 1.0",
         ("tests/test_negators.py::TestKernelMatchesPointwise::test_vertex_after_two_steps",),
     ),
     # The kernel's values against their exact ones, and its domain.
@@ -277,6 +288,35 @@ MUTANTS = [
          "tests/test_simplex.py::TestMakeDist::test_too_short",
          EXIT_CODES.format("test_input_error_exits_1[one_value]")),
     ),
+    # Each lower-bound check written with <, which NaN never satisfies.
+    Mutant(
+        "length-rule-passes-nan", SIMPLEX,
+        "if not n >= 2:", "if n < 2:",
+        (FIXED_POINT.format("test_length_domain"),
+         "tests/test_simplex.py::TestFactories::test_uniform",
+         "tests/test_analysis.py::TestRandomDist::test_length_domain",
+         "tests/test_dynamics.py::TestContractionFactor::test_domain"),
+    ),
+    Mutant(
+        "iterate-steps-passes-nan", DYNAMICS,
+        "if not steps >= 0:", "if steps < 0:",
+        ("tests/test_dynamics.py::TestIterate::test_negative_steps_rejected",),
+    ),
+    Mutant(
+        "power-point-k-passes-nan", DYNAMICS,
+        "if not k >= 0:", "if k < 0:",
+        ("tests/test_dynamics.py::TestClosedForms::test_domain_errors",),
+    ),
+    Mutant(
+        "converge-max-iter-passes-nan", DYNAMICS,
+        "if not max_iter >= 1:", "if max_iter < 1:",
+        (CONVERGE.format("test_parameter_domains"),),
+    ),
+    Mutant(
+        "classify-samples-passes-nan", ANALYSIS,
+        "if not samples >= 1:", "if samples < 1:",
+        (CLASSIFY.format("test_parameter_domains"),),
+    ),
     Mutant(
         "length-unbounded", SIMPLEX,
         "    if n > sys.float_info.max:", "    if False:",
@@ -285,10 +325,16 @@ MUTANTS = [
     ),
     Mutant(
         "make-dist-huge-int-overflows", SIMPLEX,
-        "[v if isinstance(v, int) and abs(v) > 1 else float(v) for v in values]",
+        "[_float_or_huge(v) for v in values]",
         "[float(v) for v in values]",
         ("tests/test_simplex.py::TestMakeDist::test_range_error_names_first_bad_position",
          "tests/test_negators.py::TestInvalidHandBuiltDist::test_raises_simplex_error"),
+    ),
+    # Without it the fallback re-reads an iterator that float() has used up.
+    Mutant(
+        "make-dist-reads-iterator-twice", SIMPLEX,
+        "    values = tuple(values)  # read twice if float() overflows\n", "",
+        ("tests/test_simplex.py::TestMakeDist::test_range_error_names_first_bad_position",),
     ),
     Mutant(
         "recorded-extremes-swapped", SIMPLEX,

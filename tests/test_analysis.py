@@ -1,6 +1,7 @@
 """Classification, involution checks, fixed points, axiom oracle, random
 distributions."""
 
+import math
 import random
 from dataclasses import replace
 from types import SimpleNamespace
@@ -168,9 +169,10 @@ class TestClassify:
 
     @NON_SPECS
     def test_parameter_domains(self, non_spec):
-        with pytest.raises(DomainError):
-            classify(Yager(), 1, 10, seed=0)
-        for samples in (0, -10**5000):  # too many digits to format
+        for n in (1, math.nan):
+            with pytest.raises(DomainError):
+                classify(Yager(), n, 10, seed=0)
+        for samples in (0, -10**5000, math.nan):  # too many digits to format
             with pytest.raises(DomainError):
                 classify(Yager(), 3, samples, seed=0)
         with pytest.raises(TypeError, match="^not a negator spec: "):
@@ -285,7 +287,9 @@ class TestFixedPoint:
         # n is checked first, so a non-spec at n = 1 is a DomainError too.
         # Past the largest float 1/n overflows, and -10**5000 has too many
         # digits for str(), so no message may format n.
-        for spec, n in [(Yager(), 1), ("yager", 1), (Yager(), 10**400), (Yager(), -10**5000)]:
+        for spec, n in [
+            (Yager(), 1), ("yager", 1), (Yager(), 10**400), (Yager(), -10**5000), (Yager(), math.nan)
+        ]:
             with pytest.raises(DomainError):
                 fixed_point(spec, n)
 
@@ -328,8 +332,9 @@ class TestRandomDist:
         assert random_dist(3, seed=1).values != random_dist(3, seed=2).values
 
     def test_length_domain(self):
-        with pytest.raises(DomainError):
-            random_dist(1, seed=0)
+        for n in (1, math.nan):
+            with pytest.raises(DomainError):
+                random_dist(n, seed=0)
 
     @pytest.mark.parametrize("n", [2, 3, 5, 100, 1000])
     def test_bits_match_expovariate_draws(self, n):

@@ -51,7 +51,7 @@ class TestIterate:
             iterate(non_spec, make_dist([0.2, 0.8]), 0)
 
     def test_negative_steps_rejected(self):
-        for steps in (-1, -10**5000):  # too many digits to format
+        for steps in (-1, -10**5000, math.nan):  # too many digits to format
             with pytest.raises(DomainError):
                 iterate(Yager(), EXAMPLE, steps)
 
@@ -91,7 +91,8 @@ class TestClosedForms:
     def test_domain_errors(self):
         # The huge ints have too many digits to format.
         for n, alpha, k in [
-            (3, 2.0, 1), (3, 10**5000, 1), (3, 0.5, -1), (3, 0.5, -10**5000), (1, 0.5, 1)
+            (3, 2.0, 1), (3, 10**5000, 1), (3, 0.5, -1), (3, 0.5, -10**5000), (1, 0.5, 1),
+            (3, 0.5, math.nan), (math.nan, 0.5, 1),
         ]:
             with pytest.raises(DomainError):
                 linear_power_point(0.5, n, alpha, k)
@@ -104,8 +105,9 @@ class TestContractionFactor:
     def test_domain(self):
         with pytest.raises(DomainError):
             contraction_factor(3, -0.1)
-        with pytest.raises(DomainError):
-            contraction_factor(1, 0.5)
+        for n in (1, math.nan):
+            with pytest.raises(DomainError):
+                contraction_factor(n, 0.5)
         with pytest.raises(DomainError):  # 1/(n - 1) would overflow
             contraction_factor(10**400, 0.5)
 
@@ -182,7 +184,9 @@ class TestConverge:
 
     def test_parameter_domains(self):
         # The huge ints have too many digits to format.
-        for eps, max_iter in [(0.0, 1), (math.nan, 1), (-10**5000, 1), (1e-9, 0), (1e-9, -10**5000)]:
+        for eps, max_iter in [
+            (0.0, 1), (math.nan, 1), (-10**5000, 1), (1e-9, 0), (1e-9, -10**5000), (1e-9, math.nan)
+        ]:
             with pytest.raises(DomainError):
                 converge(Yager(), EXAMPLE, eps=eps, max_iter=max_iter)
 

@@ -70,8 +70,13 @@ class TestMakeDist:
             ([-0.1, 1.1], 1),
             ([1.5, -0.5], 1),
             ([math.nan, 1.0], 1),
-            # Past the largest float, where float() overflows.
+            # Past the largest float, where float() overflows; strings still
+            # coerce, and an iterator is read once.
             ([10**400, 0.0], 1),
+            ([Fraction(10**400), 0.0], 1),
+            ([0.5, Fraction(-10**400)], 2),
+            (["0.5", 10**400], 2),
+            (iter([10**400, 0.0]), 1),
         ],
     )
     def test_range_error_names_first_bad_position(self, values, position):
@@ -223,10 +228,11 @@ class TestMeasuresExact:
 class TestFactories:
     def test_uniform(self):
         assert uniform_dist(4).values == (0.25, 0.25, 0.25, 0.25)
-        with pytest.raises(DomainError):
-            uniform_dist(1)
-        with pytest.raises(DomainError):
-            point_dist(1, 1)
+        for n in (1, math.nan):
+            with pytest.raises(DomainError):
+                uniform_dist(n)
+            with pytest.raises(DomainError):
+                point_dist(n, 1)
 
     def test_point(self):
         assert point_dist(3, 1).values == (1.0, 0.0, 0.0)
