@@ -46,11 +46,10 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import NamedTuple
 
-from .errors import DomainError
 from .simplex import (
     _TOL_EQ,
     Dist,
-    _check_length,
+    _check_count,
     _validated,
     linf_to_uniform,
     max_abs_diff,
@@ -153,7 +152,8 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
     contracting when a = 0, else strictly contracting. The witnesses are
     0, 0.01 and 0.02, or for a strict verdict the first three i/100 away
     from 1/n, with ``negate``'s images and the theorem's flags. Nothing is
-    sampled: ``seed`` is not read, and ``samples`` need only be >= 1.
+    sampled: ``seed`` is not read, and ``samples`` need only be an integer
+    that is at least 1.
 
     The families that read the whole distribution are sampled as
     ``samples`` whole random distributions (the involutive family, whose
@@ -171,9 +171,8 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
     that is contracting only and one that is expanding only. No start is
     neither (see the module docstring).
     """
-    _check_length(n)
-    if not samples >= 1:
-        raise DomainError("samples must be >= 1")
+    _check_count(n, 2, "n")
+    _check_count(samples, 1, "samples")
     alpha = _linear_alpha(spec)
     if alpha is not None:
         a = abs(contraction_factor(n, alpha))
@@ -236,7 +235,7 @@ def fixed_point(spec: NegatorSpec, n: int) -> float:
     """1/n, the value every family fixes (the paper's theorem). Only ``n``
     and ``spec`` are checked: it holds even where ``negate`` cannot
     evaluate the uniform distribution, as for ``Tsallis(1e-320)``."""
-    _check_length(n)
+    _check_count(n, 2, "n")
     _linear_alpha(spec)  # a non-spec raises TypeError, as in iterate
     return 1.0 / n
 
@@ -255,7 +254,7 @@ def random_dist(n: int, seed: int) -> Dist:
     so it maps ``-l`` to exactly minus its result for ``l``, and the two
     sign flips cancel in each quotient, a zero's sign included.
     """
-    _check_length(n)
+    _check_count(n, 2, "n")
     rnd = random.Random(seed).random
     log = math.log
     while True:

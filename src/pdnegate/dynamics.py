@@ -21,12 +21,7 @@ from dataclasses import dataclass
 from math import fsum
 
 from .errors import DomainError
-from .simplex import (
-    _TOL_EQ,
-    Dist,
-    _new,
-    max_abs_diff,
-)
+from .simplex import _TOL_EQ, Dist, _check_count, _new, max_abs_diff
 from .negators import NegatorSpec, _linear_alpha, contraction_factor, negate
 
 __all__ = [
@@ -106,13 +101,13 @@ ConvergenceOutcome = Converged | Oscillating | MaxIterReached | LeftDomain
 
 
 def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
-    """Repeatedly negate ``dist``, returning the orbit of length ``steps + 1``.
+    """Negate ``dist`` repeatedly, ``steps`` times (an integer, at least 0),
+    returning the orbit of length ``steps + 1``.
 
     Every intermediate distribution passes full validation, so the trace
     doubles as a running check that negation preserves the simplex.
     """
-    if not steps >= 0:
-        raise DomainError("steps must be >= 0")
+    _check_count(steps, 0, "steps")
     dist._lo  # the first read of a hand-built Dist validates it; len may not
     _linear_alpha(spec)  # a non-spec raises here, even if negate never runs
     u = 1.0 / len(dist.values)
@@ -137,8 +132,7 @@ def iterate(spec: NegatorSpec, dist: Dist, steps: int) -> OrbitTrace:
 def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
     """k-fold application of the linear negator to ``p``, in closed form."""
     a = contraction_factor(n, alpha)
-    if not k >= 0:
-        raise DomainError("k must be >= 0")
+    _check_count(k, 0, "k")
     return 1.0 / n + a**k * (p - 1.0 / n)
 
 
@@ -149,10 +143,11 @@ def converge(
     max_iter: int = 1000,
 ) -> ConvergenceOutcome:
     """Iterate until the orbit lands within ``eps`` of uniform (max norm),
-    revisits an earlier distribution, or exhausts ``max_iter`` steps. By
-    the paper's theorem a linear negator (yager and uniform included) whose
-    ``contraction_factor(n, alpha)`` is below 1 in absolute value converges
-    from every start, so its orbit is never tested for a cycle.
+    revisits an earlier distribution, or exhausts ``max_iter`` steps, an
+    integer >= 1. By the paper's theorem a linear negator (yager and
+    uniform included) whose ``contraction_factor(n, alpha)`` is below 1 in
+    absolute value converges from every start, so its orbit is never
+    tested for a cycle.
 
     Each step is compared with the step two before it: period 2 is the only
     cycle the shipped families can produce, and this finds it however late
@@ -188,8 +183,7 @@ def converge(
     """
     if not eps > 0.0:
         raise DomainError("eps must be > 0")
-    if not max_iter >= 1:
-        raise DomainError("max_iter must be >= 1")
+    _check_count(max_iter, 1, "max_iter")
 
     current = dist
     # _lo before len, as in iterate. Each side's test decides as linf < eps.

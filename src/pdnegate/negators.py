@@ -33,7 +33,7 @@ from .errors import (
     RangeError,
     SumError,
 )
-from .simplex import Dist, _accepted, _check_length
+from .simplex import Dist, _accepted, _check_count
 
 __all__ = [
     "Yager",
@@ -229,7 +229,7 @@ def contraction_factor(n: int, alpha: float) -> float:
     -(1 - alpha)/(n - 1), always in [-1/(n-1), 0]. Orbits converge iff
     its absolute value is below 1, which fails exactly for n = 2 with
     alpha = 0."""
-    _check_length(n)
+    _check_count(n, 2, "n")
     _check_alpha(alpha)
     return -(1.0 - alpha) / (n - 1)
 

@@ -168,24 +168,30 @@ def _accepted(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
     raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {_TOL_SIMPLEX}")
 
 
-def _check_length(n: int) -> None:
-    # Neither message formats n: str() of an int past 4300 digits raises.
-    if not n >= 2:  # NaN fails too
-        raise DomainError("n must be >= 2")
-    if n > sys.float_info.max:  # exact for an int; 1.0 / n would overflow
-        raise DomainError("n must be at most the largest float")
+def _check_count(x: int, least: int, name: str) -> None:
+    """The one rule for every count: an int, as ``operator.index`` reads one
+    (not 3.0, NaN or a ``Fraction``), in [least, the largest float]. No
+    message formats ``x``: str() of an int past 4300 digits raises."""
+    try:
+        x = operator.index(x)
+    except TypeError:
+        raise DomainError(f"{name} must be an integer") from None
+    if x < least:
+        raise DomainError(f"{name} must be >= {least}")
+    if x > sys.float_info.max:  # exact for an int; 1.0 / x would overflow
+        raise DomainError(f"{name} must be at most the largest float")
 
 
 def uniform_dist(n: int) -> Dist:
     """The distribution with every probability equal to 1/n."""
-    _check_length(n)
+    _check_count(n, 2, "n")
     return make_dist([1.0 / n] * n)
 
 
 def point_dist(n: int, i: int) -> Dist:
     """The degenerate distribution with unit mass on outcome ``i`` (1-based)."""
-    _check_length(n)
-    if not 1 <= i <= n:
+    _check_count(n, 2, "n")
+    if not (hasattr(type(i), "__index__") and 1 <= i <= n):  # a non-int is outside too
         raise IndexError(f"outcome index outside 1..{n}")
     return make_dist([1.0 if j == i else 0.0 for j in range(1, n + 1)])
 

@@ -63,6 +63,7 @@ EXIT_CODES = "tests/test_cli.py::TestExitCodes::{}"
 CLI_CONVERGE = "tests/test_cli.py::TestConvergeCommand::{}"
 README_EXAMPLES = "tests/test_cli.py::TestReadmeExamples::test_examples_print_what_readme_shows"
 FIXED_POINT = "tests/test_analysis.py::TestFixedPoint::{}"
+COUNT_RULE = "tests/test_simplex.py::test_count_rule"
 PICKLE_BYTES = "tests/test_construction.py::test_pickle_bytes_match_constructed_copy"
 BITDUMP = "tests/test_bitdump.py::test_digest_matches_checked_in"
 MEASURES = "tests/test_simplex.py::TestMeasuresExact::test_random_point_and_uniform"
@@ -159,8 +160,8 @@ MUTANTS = [
     ),
     Mutant(
         "fixed-point-spec-before-n", ANALYSIS,
-        "    _check_length(n)\n    _linear_alpha(spec)  #",
-        "    _linear_alpha(spec)\n    _check_length(n)  #",
+        '    _check_count(n, 2, "n")\n    _linear_alpha(spec)  #',
+        '    _linear_alpha(spec)\n    _check_count(n, 2, "n")  #',
         (FIXED_POINT.format("test_length_domain"),),
     ),
     # random_dist, pinned to the stdlib's exponential variates.
@@ -288,40 +289,31 @@ MUTANTS = [
          "tests/test_simplex.py::TestMakeDist::test_too_short",
          EXIT_CODES.format("test_input_error_exits_1[one_value]")),
     ),
-    # Each lower-bound check written with <, which NaN never satisfies.
+    # The count rule, one mutant per arm, and a call site given the wrong
+    # least value.
     Mutant(
-        "length-rule-passes-nan", SIMPLEX,
-        "if not n >= 2:", "if n < 2:",
-        (FIXED_POINT.format("test_length_domain"),
-         "tests/test_simplex.py::TestFactories::test_uniform",
-         "tests/test_analysis.py::TestRandomDist::test_length_domain",
-         "tests/test_dynamics.py::TestContractionFactor::test_domain"),
+        "count-not-int-passes", SIMPLEX,
+        "        x = operator.index(x)\n", "        pass\n",
+        (COUNT_RULE,),
     ),
     Mutant(
-        "iterate-steps-passes-nan", DYNAMICS,
-        "if not steps >= 0:", "if steps < 0:",
-        ("tests/test_dynamics.py::TestIterate::test_negative_steps_rejected",),
+        "count-no-lower-bound", SIMPLEX,
+        "    if x < least:", "    if False:",
+        (COUNT_RULE,),
     ),
+    # Only the rows that fail fast: past the largest float, point_dist,
+    # random_dist and iterate would build lists until memory runs out.
     Mutant(
-        "power-point-k-passes-nan", DYNAMICS,
-        "if not k >= 0:", "if k < 0:",
-        ("tests/test_dynamics.py::TestClosedForms::test_domain_errors",),
-    ),
-    Mutant(
-        "converge-max-iter-passes-nan", DYNAMICS,
-        "if not max_iter >= 1:", "if max_iter < 1:",
-        (CONVERGE.format("test_parameter_domains"),),
-    ),
-    Mutant(
-        "classify-samples-passes-nan", ANALYSIS,
-        "if not samples >= 1:", "if samples < 1:",
-        (CLASSIFY.format("test_parameter_domains"),),
-    ),
-    Mutant(
-        "length-unbounded", SIMPLEX,
-        "    if n > sys.float_info.max:", "    if False:",
-        (FIXED_POINT.format("test_length_domain"),
+        "count-no-upper-bound", SIMPLEX,
+        "    if x > sys.float_info.max:", "    if False:",
+        (COUNT_RULE + "[fixed_point.n]", COUNT_RULE + "[classify.samples]",
+         COUNT_RULE + "[converge.max_iter]",
          EXIT_CODES.format("test_domain_error_exits_2[fixed_point_huge_n]")),
+    ),
+    Mutant(
+        "iterate-steps-least-minus-1", DYNAMICS,
+        '_check_count(steps, 0, "steps")', '_check_count(steps, -1, "steps")',
+        (COUNT_RULE + "[iterate.steps]", EXIT_CODES.format("test_domain_error_exits_2[steps]")),
     ),
     Mutant(
         "make-dist-huge-int-overflows", SIMPLEX,

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -22,9 +23,12 @@ from pdnegate import (
     Yager,
     check_involution,
     classify,
+    contraction_factor,
     converge,
     entropy,
     fixed_point,
+    iterate,
+    linear_power_point,
     linf_to_uniform,
     make_dist,
     max_abs_diff,
@@ -228,20 +232,57 @@ class TestMeasuresExact:
 class TestFactories:
     def test_uniform(self):
         assert uniform_dist(4).values == (0.25, 0.25, 0.25, 0.25)
-        for n in (1, math.nan):
-            with pytest.raises(DomainError):
-                uniform_dist(n)
-            with pytest.raises(DomainError):
-                point_dist(n, 1)
 
     def test_point(self):
         assert point_dist(3, 1).values == (1.0, 0.0, 0.0)
         assert point_dist(3, 3).values == (0.0, 0.0, 1.0)
 
     def test_point_index_is_one_based(self):
-        for i in (4, 0, 10**5000):  # too many digits to format
+        for i in (4, 0, 10**5000, 1.5, 2.0):  # 10**5000 has too many digits to format
             with pytest.raises(IndexError):
                 point_dist(3, i)
+
+
+# One row per public function and count argument: the call with that count
+# as its only argument, the count's name, and the least value it may take.
+COUNTS = [
+    pytest.param(uniform_dist, "n", 2, id="uniform_dist.n"),
+    pytest.param(lambda n: point_dist(n, 1), "n", 2, id="point_dist.n"),
+    pytest.param(lambda n: random_dist(n, seed=0), "n", 2, id="random_dist.n"),
+    pytest.param(lambda n: contraction_factor(n, 0.5), "n", 2, id="contraction_factor.n"),
+    pytest.param(lambda n: fixed_point(Yager(), n), "n", 2, id="fixed_point.n"),
+    pytest.param(lambda n: classify(Yager(), n, 10, seed=0), "n", 2, id="classify.n"),
+    pytest.param(
+        lambda samples: classify(Yager(), 3, samples, seed=0), "samples", 1, id="classify.samples"
+    ),
+    pytest.param(lambda steps: iterate(Yager(), EXAMPLE, steps), "steps", 0, id="iterate.steps"),
+    pytest.param(lambda n: linear_power_point(0.5, n, 0.5, 1), "n", 2, id="linear_power_point.n"),
+    pytest.param(lambda k: linear_power_point(0.5, 3, 0.5, k), "k", 0, id="linear_power_point.k"),
+    pytest.param(
+        lambda max_iter: converge(Yager(), EXAMPLE, max_iter=max_iter), "max_iter", 1,
+        id="converge.max_iter",
+    ),
+]
+
+
+@pytest.mark.parametrize("call, name, least", COUNTS)
+def test_count_rule(call, name, least):
+    """Every count is an int in [least, the largest float], or the call
+    raises DomainError. No message formats the count: -10**5000 has too
+    many digits for str()."""
+    below, not_int = f"{name} must be >= {least}", f"{name} must be an integer"
+    for bad, message in [
+        (least - 1, below),
+        (-10**5000, below),
+        (math.nan, not_int),
+        (math.inf, not_int),
+        (2.5, not_int),
+        (3.0, not_int),
+        (Fraction(5, 2), not_int),
+        (10**400, f"{name} must be at most the largest float"),
+    ]:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(bad)
 
 
 class TestStats:
