@@ -34,7 +34,6 @@ __all__ = [
     "ConvergenceOutcome",
     "iterate",
     "linear_power_point",
-    "contraction_factor",
     "converge",
     "orbit_csv",
 ]
@@ -133,7 +132,8 @@ def linear_power_point(p: float, n: int, alpha: float, k: int) -> float:
     """k-fold application of the linear negator to ``p``, in closed form."""
     a = contraction_factor(n, alpha)
     _check_count(k, 0, "k")
-    return 1.0 / n + a**k * (p - 1.0 / n)
+    power = abs(a) ** k  # a**k makes k a float: an odd k past 2**53 may turn even
+    return 1.0 / n + (-power if a < 0.0 and k % 2 else power) * (p - 1.0 / n)
 
 
 def converge(

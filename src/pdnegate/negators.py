@@ -33,7 +33,7 @@ from .errors import (
     RangeError,
     SumError,
 )
-from .simplex import Dist, _accepted, _check_count
+from .simplex import Dist, _accepted, _check_count, uniform_dist
 
 __all__ = [
     "Yager",
@@ -43,6 +43,7 @@ __all__ = [
     "Involutive",
     "NegatorSpec",
     "negate",
+    "contraction_factor",
     "parse_negator",
     "format_negator",
 ]
@@ -66,18 +67,19 @@ def _check_alpha(alpha: float) -> None:
 @dataclass(frozen=True)
 class Linear:
     """Convex mix of the uniform and yager families with weight ``alpha``
-    on the uniform side; alpha must lie in [0, 1]."""
+    on the uniform side; alpha must lie in [0, 1], and is stored as a float."""
 
     alpha: float
 
     def __post_init__(self) -> None:
         _check_alpha(self.alpha)
+        object.__setattr__(self, "alpha", float(self.alpha))
 
 
 @dataclass(frozen=True)
 class Tsallis:
     """p_i -> (1 - p_i**k) / sum_j (1 - p_j**k) with a finite exponent
-    ``k != 0``.
+    ``k != 0``, stored as a float.
 
     Negative k requires strictly positive probabilities. A negative
     exponent can make some p_i**k or their sum overflow, and one so close
@@ -88,9 +90,11 @@ class Tsallis:
     k: float
 
     def __post_init__(self) -> None:
-        # Exact for an int too, where math.isfinite would overflow.
-        if self.k == 0.0 or not -sys.float_info.max <= self.k <= sys.float_info.max:
+        # Exact for an int too, where math.isfinite would overflow; a k that
+        # is nonzero but whose float is 0.0, as Decimal("1e-400"), is zero.
+        if not -sys.float_info.max <= self.k <= sys.float_info.max or float(self.k) == 0.0:
             raise DomainError("k must be a finite nonzero number within the float range")
+        object.__setattr__(self, "k", float(self.k))
 
 
 @dataclass(frozen=True)
@@ -122,11 +126,6 @@ def _yager(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
     d = len(vals) - 1.0  # float / float is faster than float / int, same bits
     out = [(1.0 - p) / d for p in vals]
     return _accepted(tuple(out), (1.0 - hi) / d, (1.0 - lo) / d)
-
-
-def _uniform(n: int) -> Dist:
-    u = 1.0 / n
-    return _accepted(tuple([u] * n), u, u)
 
 
 def _linear(vals: tuple[float, ...], lo: float, hi: float, alpha: float) -> Dist:
@@ -192,7 +191,7 @@ def negate(spec: NegatorSpec, dist: Dist) -> Dist:
         if family is Yager:
             return _yager(dist.values, lo, hi)
         if family is Uniform:
-            return _uniform(len(dist.values))
+            return uniform_dist(len(dist.values))
         if family is Linear:
             return _linear(dist.values, lo, hi, spec.alpha)
         if family is Tsallis:
@@ -281,5 +280,5 @@ def format_negator(spec: NegatorSpec) -> str:
     if type(spec) not in _FAMILIES:
         raise TypeError(f"not a negator spec: {spec!r}")
     return type(spec).__name__.lower() + "".join(
-        f":{f.name}={float(getattr(spec, f.name))!r}" for f in fields(spec)
+        f":{f.name}={getattr(spec, f.name)!r}" for f in fields(spec)
     )

@@ -66,20 +66,16 @@ class Dist:
     values: tuple[float, ...]
 
     # min(values) and max(values), recorded by validation in the instance
-    # dict. A Dist built directly records both, _lo first, at its first read
-    # of either, which validates it as make_dist would. Neither is a field,
-    # so ==, hash, repr and replace see only values. (A __getattr__ in place
-    # of the two properties would slow every attribute read of every Dist.)
+    # dict as _lo and _hi. A Dist built directly records both at the first
+    # read of _lo, which validates it as make_dist would; so every reader
+    # reads _lo first. Neither is a field, so ==, hash, repr and replace see
+    # only values. (A __getattr__ in place of the property would slow every
+    # attribute read of every Dist.)
     @cached_property
     def _lo(self) -> float:
         checked = _validated(self.values)
         vars(self).update(_lo=checked._lo, _hi=checked._hi)
         return checked._lo
-
-    @cached_property
-    def _hi(self) -> float:
-        self._lo  # validates, and records both
-        return vars(self)["_hi"]
 
     @property
     def n(self) -> int:
@@ -185,7 +181,8 @@ def _check_count(x: int, least: int, name: str) -> None:
 def uniform_dist(n: int) -> Dist:
     """The distribution with every probability equal to 1/n."""
     _check_count(n, 2, "n")
-    return make_dist([1.0 / n] * n)
+    u = 1.0 / operator.index(n)  # a float for a numpy int too
+    return _accepted((u,) * n, u, u)
 
 
 def point_dist(n: int, i: int) -> Dist:
@@ -226,9 +223,8 @@ def max_abs_diff(a: Dist, b: Dist) -> float:
 
 def parse_dist(text: str) -> Dist:
     """Parse comma-separated decimal literals, e.g. ``0.1,0.2,0.7``."""
-    parts = [part.strip() for part in text.split(",")]
     try:
-        values = [float(part) for part in parts]
+        values = [float(part) for part in text.split(",")]  # float() strips whitespace
     except ValueError:
         raise ValueError(f"not a comma-separated list of numbers: {text!r}") from None
     return make_dist(values)

@@ -111,10 +111,13 @@ def _enc(x):
     return repr(x)
 
 
-def _call(fn, *args, **kwargs):
+def outcome(fn, *args, errors=(ArithmeticError, ValueError), **kwargs):
+    """The exact text of what ``fn(*args, **kwargs)`` returns, or the type
+    and message of the error of ``errors`` it raises; any other error
+    propagates."""
     try:
         return _enc(fn(*args, **kwargs))
-    except (ArithmeticError, ValueError) as exc:  # DomainError is a ValueError
+    except errors as exc:  # DomainError is a ValueError
         return f"{type(exc).__name__}: {exc}"
 
 
@@ -123,26 +126,26 @@ def records():
     for spec in SPECS:
         name = format_negator(spec)
         for label, start in starts:
-            yield f"negate {name} {label} {_call(negate, spec, start)}"
+            yield f"negate {name} {label} {outcome(negate, spec, start)}"
         for label, start in starts:
             if start.n > 100:
                 continue
-            yield f"iterate {name} {label} {_call(iterate, spec, start, 20)}"
+            yield f"iterate {name} {label} {outcome(iterate, spec, start, 20)}"
             for eps in (1e-12, 1e-9):
                 for max_iter in (5, 1000):
-                    out = _call(converge, spec, start, eps=eps, max_iter=max_iter)
+                    out = outcome(converge, spec, start, eps=eps, max_iter=max_iter)
                     yield f"converge {name} {label} {eps} {max_iter} {out}"
         for n in (2, 3, 5, 100):
-            yield f"classify {name} {n} {_call(classify, spec, n, 40, seed=n)}"
-            out = _call(classify, spec, n, 40, seed=2021)
+            yield f"classify {name} {n} {outcome(classify, spec, n, 40, seed=n)}"
+            out = outcome(classify, spec, n, 40, seed=2021)
             yield f"classify {name} {n} seed=2021 {out}"
-            yield f"fixed_point {name} {n} {_call(fixed_point, spec, n)}"
+            yield f"fixed_point {name} {n} {outcome(fixed_point, spec, n)}"
     # Slowly alternating linear orbits, on which a 2-cycle is close to
     # being matched for many steps.
     for alpha in (0.05, 0.001):
         for half in (0.2, 6e-4, 4e-7):
             start = make_dist([0.5 - half, 0.5 + half])
-            out = _call(converge, Linear(alpha), start, eps=1e-12)
+            out = outcome(converge, Linear(alpha), start, eps=1e-12)
             yield f"converge linear:alpha={alpha} half{half} {out}"
 
 

@@ -16,7 +16,8 @@ repository root:
 
 It prints pytest's summary, then one ``path:line: text`` line per unrun
 statement and their count. It exits 1 if the suite did not pass, since
-its list is then incomplete.
+its list is then incomplete, or if the unrun statements are not exactly
+``EXPECTED``: the ones that run only in subprocesses.
 """
 
 import ast
@@ -29,6 +30,20 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
 PACKAGE = SRC / "pdnegate"
+
+# ``path: text`` of each statement that only subprocesses run: the lazy
+# ``__dir__`` body, the ``TYPE_CHECKING`` imports, and ``main()`` with its
+# ``__main__`` guard. Line numbers are left out, so that an edit above a
+# statement does not move it.
+EXPECTED = sorted([
+    'src/pdnegate/__init__.py: if "__all__" not in globals():',
+    "src/pdnegate/__init__.py: _load()",
+    "src/pdnegate/__init__.py: return list(globals())",
+    "src/pdnegate/cli.py: from .analysis import ClassificationReport",
+    "src/pdnegate/cli.py: from .dynamics import OrbitTrace",
+    "src/pdnegate/cli.py: raise SystemExit(run())",
+    "src/pdnegate/cli.py: main()",
+])
 
 
 def code_lines(code) -> set[int]:
@@ -115,12 +130,15 @@ def main() -> int:
     finally:
         sys.settrace(None)
 
-    count = 0
+    found = []
     for name, path in files.items():
         for line, text in unrun(path, ran[name]):
             print(f"{path.relative_to(ROOT)}:{line}: {text}")
-            count += 1
-    print(f"{count} statements in src/pdnegate never run")
+            found.append(f"{path.relative_to(ROOT)}: {text}")
+    print(f"{len(found)} statements in src/pdnegate never run")
+    if sorted(found) != EXPECTED:
+        print("expected exactly:", *EXPECTED, sep="\n  ")
+        return 1
     return 0 if code == 0 else 1
 
 

@@ -58,7 +58,6 @@ LEAD = CLASSIFY.format("test_dist_level_lead_is_away_from_uniform")
 KIND = CLASSIFY.format("test_dist_level_witnesses_are_of_their_kind")
 NOT_ALWAYS_EXPANDING = CLASSIFY.format("test_tsallis_negative_k_not_always_expanding")
 CONVERGE = "tests/test_dynamics.py::TestConverge::{}"
-FACTOR_N5 = "tests/test_dynamics.py::TestContractionFactor::test_yager_n5"
 EXIT_CODES = "tests/test_cli.py::TestExitCodes::{}"
 CLI_CONVERGE = "tests/test_cli.py::TestConvergeCommand::{}"
 README_EXAMPLES = "tests/test_cli.py::TestReadmeExamples::test_examples_print_what_readme_shows"
@@ -67,6 +66,8 @@ COUNT_RULE = "tests/test_simplex.py::test_count_rule"
 PICKLE_BYTES = "tests/test_construction.py::test_pickle_bytes_match_constructed_copy"
 BITDUMP = "tests/test_bitdump.py::test_digest_matches_checked_in"
 MEASURES = "tests/test_simplex.py::TestMeasuresExact::test_random_point_and_uniform"
+SAME_DECISIONS = "tests/test_simplex.py::TestSameDecisions::{}"
+RECORDED = "tests/test_simplex.py::TestRecordedExtremes::{}"
 EXACT = "tests/test_negators.py::TestExactOracle::test_every_family"
 
 MUTANTS = [
@@ -183,12 +184,12 @@ MUTANTS = [
     Mutant(
         "factor-sign", NEGATORS,
         "return -(1.0 - alpha) / (n - 1)", "return (1.0 - alpha) / (n - 1)",
-        (FACTOR_N5, CRITERION.format("3_closed_form_oracle")),
+        (CRITERION.format("3_closed_form_oracle"),),
     ),
     Mutant(
         "factor-divisor-n", NEGATORS,
         "return -(1.0 - alpha) / (n - 1)", "return -(1.0 - alpha) / n",
-        (FACTOR_N5, "tests/test_dynamics.py::TestExactRate::test_linf_scales_by_factor_power"),
+        ("tests/test_dynamics.py::TestExactRate::test_linf_scales_by_factor_power",),
     ),
     Mutant(
         "factor-alpha-scaled", NEGATORS,
@@ -199,10 +200,14 @@ MUTANTS = [
     ),
     Mutant(
         "power-point-k0-uniform", DYNAMICS,
-        "return 1.0 / n + a**k * (p - 1.0 / n)",
-        "return 1.0 / n if k == 0 else 1.0 / n + a**k * (p - 1.0 / n)",
-        (CRITERION.format("3_closed_form_oracle"),
-         "tests/test_dynamics.py::TestClosedForms::test_yager_form_matches_linear_form"),
+        "return 1.0 / n + (-power", "return 1.0 / n if k == 0 else 1.0 / n + (-power",
+        (CRITERION.format("3_closed_form_oracle"),),
+    ),
+    # The power's sign from k's parity, not from a**k, which makes k a float.
+    Mutant(
+        "power-point-parity-reverted", DYNAMICS,
+        "(-power if a < 0.0 and k % 2 else power)", "a**k",
+        ("tests/test_dynamics.py::TestClosedForms::test_odd_power_flips_n2",),
     ),
     Mutant(
         "cycle-test-skips-unit-factor", DYNAMICS,
@@ -286,7 +291,7 @@ MUTANTS = [
         "length-rule-one-value", SIMPLEX,
         "    if len(vals) < 2:", "    if len(vals) < 1:",
         ("tests/test_negators.py::TestInvalidHandBuiltDist::test_raises_simplex_error",
-         "tests/test_simplex.py::TestMakeDist::test_too_short",
+         SAME_DECISIONS.format("test_short_rejected_and_coerced_inputs"),
          EXIT_CODES.format("test_input_error_exits_1[one_value]")),
     ),
     # The count rule, one mutant per arm, and a call site given the wrong
@@ -328,17 +333,30 @@ MUTANTS = [
         "    values = tuple(values)  # read twice if float() overflows\n", "",
         ("tests/test_simplex.py::TestMakeDist::test_range_error_names_first_bad_position",),
     ),
+    # A hand-built Dist records both extremes at its first read of _lo, the
+    # only one there is.
+    Mutant(
+        "lo-records-lo-only", SIMPLEX,
+        "update(_lo=checked._lo, _hi=checked._hi)", "update(_lo=checked._lo)",
+        (PICKLE_BYTES, RECORDED.format("test_direct_construction_measures")),
+    ),
+    Mutant(
+        "uniform-dist-ulp-off", SIMPLEX,
+        "u = 1.0 / operator.index(n)", "u = math.nextafter(1.0 / operator.index(n), 1.0)",
+        ("tests/test_simplex.py::TestFactories::test_uniform", BITDUMP),
+    ),
     Mutant(
         "recorded-extremes-swapped", SIMPLEX,
         'state["_lo"], state["_hi"] = lo, hi', 'state["_lo"], state["_hi"] = hi, lo',
-        ("tests/test_simplex.py::TestRecordedExtremes::test_factories",),
+        (RECORDED.format("test_factories"),),
     ),
     # The measures, pinned bit for bit to their generator-expression
     # definitions.
     Mutant(
         "entropy-one-plus-v", SIMPLEX,
         "fsum([(1.0 - v) * v for v", "fsum([(1.0 + v) * v for v",
-        (MEASURES, "tests/test_simplex.py::test_example_entropy_exact_fraction"),
+        (MEASURES, "tests/test_cli.py::TestScalarCommands::test_entropy",
+         "tests/test_readme.py::TestQuickStart::test_runs_and_prints_what_its_comments_claim"),
     ),
     Mutant(
         "entropy-plain-sum", SIMPLEX,
@@ -376,8 +394,15 @@ MUTANTS = [
         "tol-simplex-1e-10", SIMPLEX,
         "_TOL_SIMPLEX = 1e-9", "_TOL_SIMPLEX = 1e-10",
         (EXIT_CODES.format("test_bad_sum_is_input_error"),
-         "tests/test_simplex.py::TestMakeDist::test_sum_tolerance",
-         "tests/test_simplex.py::TestSameDecisions::test_short_rejected_and_coerced_inputs"),
+         SAME_DECISIONS.format("test_near_edge_sums"),
+         SAME_DECISIONS.format("test_short_rejected_and_coerced_inputs")),
+    ),
+    # The plain sum's band is narrower than the tolerance; fsum decides the
+    # sums between them.
+    Mutant(
+        "sum-no-fsum-fallback", SIMPLEX,
+        " or abs(math.fsum(vals) - 1.0) <= _TOL_SIMPLEX:", ":",
+        (SAME_DECISIONS.format("test_near_edge_sums"),),
     ),
     Mutant(
         "entropy-unchecked", SIMPLEX,
@@ -388,6 +413,11 @@ MUTANTS = [
         "negate-catches-sum-only", NEGATORS,
         "except (RangeError, SumError) as exc:", "except SumError as exc:",
         ("tests/test_negators.py::TestFailedNegation::test_rejected_output_is_domain_error",),
+    ),
+    Mutant(
+        "linear-stores-raw-alpha", NEGATORS,
+        '        object.__setattr__(self, "alpha", float(self.alpha))\n', "",
+        ("tests/test_negators.py::TestSpecValidation::test_parameter_stored_as_float",),
     ),
     Mutant(
         "format-negator-unchecked", NEGATORS,
@@ -493,8 +523,7 @@ MUTANTS = [
     Mutant(
         "yager_power_point-sign", ORACLES,
         "(-1) ** k * (p - 1.0 / n)", "(-1) ** (k + 1) * (p - 1.0 / n)",
-        (CRITERION.format("3_closed_form_oracle"),
-         "tests/test_dynamics.py::TestClosedForms::test_yager_form_matches_linear_form"),
+        (CRITERION.format("3_closed_form_oracle"),),
     ),
 ]
 

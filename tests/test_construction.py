@@ -38,10 +38,9 @@ def fast_dists():
     # The involutive output is the vertex (1, 0, 0), whose extremes negate
     # derives from the input's.
     yield "negate to a vertex", negate(Involutive(), near_complement(3, 1))
-    # Built directly, then validated by its first read, of _hi here: the
-    # dict still records _lo first.
+    # Built directly, then validated by its first read of _lo.
     direct = Dist((0.25, 0.75))
-    direct._hi
+    direct._lo
     yield "Dist built directly, read once", direct
 
 

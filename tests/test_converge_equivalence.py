@@ -1,8 +1,7 @@
 """``converge`` against ``reference_converge``, which compares whole
-distributions at every step: the same outcomes bit for bit, and never
-more scans (``max_abs_diff`` calls) than the reference makes."""
-
-from dataclasses import fields
+distributions at every step: the same ``bitdump.outcome`` text, so the
+same outcomes bit for bit, and never more scans (``max_abs_diff`` calls)
+than the reference makes."""
 
 import pytest
 from hypothesis import given, settings
@@ -20,18 +19,15 @@ from pdnegate import (
     make_dist,
 )
 
+from bitdump import outcome
 from conftest import EXAMPLE, all_specs, dists
 
 
-def _outcome(fn, spec, start, eps, max_iter):
-    """The outcome's type, its ``steps`` or ``period`` and the bits of its
-    ``Dist``; or the type and message of the error raised."""
-    try:
-        out = fn(spec, start, eps=eps, max_iter=max_iter)
-    except DomainError as exc:
-        return type(exc).__name__, str(exc)
-    *counts, dist = (getattr(out, f.name) for f in fields(out))
-    return type(out).__name__, *counts, [v.hex() for v in dist.values]
+def _same(args):
+    """Whether both give the same outcome. Only a ``DomainError`` is an
+    outcome: any other error fails the test."""
+    ours = outcome(converge, *args, errors=DomainError)
+    return ours == outcome(oracles.reference_converge, *args, errors=DomainError)
 
 
 @settings(max_examples=300, deadline=None)
@@ -43,7 +39,7 @@ def _outcome(fn, spec, start, eps, max_iter):
 )
 def test_matches_reference(spec, start, eps, max_iter):
     args = (spec, start, eps, max_iter)
-    assert _outcome(converge, *args) == _outcome(oracles.reference_converge, *args)
+    assert _same(args)
 
 
 # Slowly alternating orbits: for many steps each one's extremes lie
@@ -72,7 +68,7 @@ FIXED = [(Linear(alpha), start, 1e-12, 1000) for alpha in (0.05, 0.001) for star
 
 @pytest.mark.parametrize("args", FIXED)
 def test_fixed_orbit_matches_reference(args):
-    assert _outcome(converge, *args) == _outcome(oracles.reference_converge, *args)
+    assert _same(args)
 
 
 def _counting(monkeypatch, module):
@@ -98,8 +94,7 @@ def test_never_more_scans_than_reference(monkeypatch):
     total_ours = total_theirs = 0
     for args in FIXED:
         ours[0] = theirs[0] = 0
-        _outcome(converge, *args)
-        _outcome(oracles.reference_converge, *args)
+        _same(args)
         assert ours[0] <= theirs[0], args
         total_ours += ours[0]
         total_theirs += theirs[0]

@@ -1,7 +1,6 @@
 """Iterated negation: orbits, closed forms, convergence detection."""
 
 import math
-import random
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -34,7 +33,6 @@ from pdnegate import (
 )
 
 from conftest import EXAMPLE, NON_SPECS, all_specs, dists, positive_dists
-from oracles import yager_power_point
 
 
 class TestIterate:
@@ -73,15 +71,19 @@ class TestIterate:
 
 
 class TestClosedForms:
-    def test_yager_form_matches_linear_form(self):
-        rng = random.Random(12)
-        for _ in range(200):
-            n = rng.randrange(2, 11)
-            k = rng.randrange(0, 31)
-            p = rng.random()
-            a = linear_power_point(p, n, 0.0, k)
-            b = yager_power_point(p, n, k)
-            assert abs(a - b) <= 1e-12
+    @pytest.mark.parametrize(
+        "alpha, k, value",
+        [
+            (0.0, 1, 0.7),
+            # Past 2**53 a float k loses its parity: a**k gave 0.3 here, and
+            # 0.4264, on the wrong side of 1/2, for k = 2**53 + 1 at 1e-16.
+            (0.0, 2**53 + 1, 0.7),
+            (1e-16, 2**53 + 1, 0.5736),
+            (1e-16, 2**53 - 1, 0.5736),
+        ],
+    )
+    def test_odd_power_flips_n2(self, alpha, k, value):
+        assert linear_power_point(0.3, 2, alpha, k) == pytest.approx(value, abs=1e-4)
 
     def test_domain_errors(self):
         for alpha in (2.0, 10**5000):  # 10**5000 has too many digits to format
@@ -90,9 +92,6 @@ class TestClosedForms:
 
 
 class TestContractionFactor:
-    def test_yager_n5(self):
-        assert contraction_factor(5, 0.0) == pytest.approx(-0.25, abs=1e-15)
-
     def test_domain(self):
         with pytest.raises(DomainError):
             contraction_factor(3, -0.1)

@@ -1,6 +1,7 @@
 """Negator families: single-step values, axioms, syntax."""
 
 import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -76,10 +77,21 @@ class TestSpecValidation:
         Tsallis(2.0)
         Tsallis(-1.0)
         # Past the largest float an int has no float value; -10**5000 has
-        # too many digits to format.
-        for k in (0.0, math.nan, math.inf, -math.inf, 10**400, -10**5000):
+        # too many digits to format; Decimal("1e-400")'s float is 0.0.
+        for k in (0.0, math.nan, math.inf, -math.inf, 10**400, -10**5000, Decimal("1e-400")):
             with pytest.raises(DomainError):
                 Tsallis(k)
+
+    @pytest.mark.parametrize(
+        "spec, same",
+        [(Linear(Decimal("0.5")), Linear(0.5)), (Tsallis(Decimal("2")), Tsallis(2.0))],
+        ids=repr,
+    )
+    def test_parameter_stored_as_float(self, spec, same):
+        # Kept as a Decimal, it would pass the domain check, then make the
+        # kernel's float arithmetic raise an untyped TypeError.
+        assert repr(spec) == repr(same)
+        assert negate(spec, EXAMPLE).values == negate(same, EXAMPLE).values
 
     def test_tsallis_vanishing_denominator(self):
         # With k subnormal the numerators, and so their sum, are subnormal:
@@ -316,13 +328,6 @@ class TestNegationAxioms:
     def test_uniform_distribution_is_fixed(self, spec, d):
         u = uniform_dist(d.n)
         assert max_abs_diff(negate(spec, u), u) <= 1e-12
-
-
-class TestTsallisReductions:
-    def test_involutive_equals_yager_when_mp_is_one(self):
-        d = point_dist(4, 2)
-        assert d._hi + d._lo == 1.0
-        assert negate(Involutive(), d).values == negate(Yager(), d).values
 
 
 class TestNegatorSyntax:

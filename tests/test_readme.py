@@ -20,13 +20,12 @@ PUBLIC = {
     "linf_to_uniform", "max_abs_diff", "parse_dist",
     # negators
     "Yager", "Uniform", "Linear", "Tsallis", "Involutive", "NegatorSpec",
-    "negate", "parse_negator",
+    "negate", "contraction_factor", "parse_negator",
     "format_negator",
     # dynamics
     "OrbitStep", "OrbitTrace", "Converged",
     "Oscillating", "MaxIterReached", "LeftDomain", "ConvergenceOutcome",
-    "iterate", "linear_power_point", "contraction_factor", "converge",
-    "orbit_csv",
+    "iterate", "linear_power_point", "converge", "orbit_csv",
     # analysis
     "PointVerdict", "Verdict", "ClassificationReport", "InvolutionCheck",
     "classify", "check_involution", "fixed_point",

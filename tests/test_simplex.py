@@ -39,7 +39,7 @@ from pdnegate import (
     uniform_dist,
 )
 
-from bitdump import near_complement
+from bitdump import near_complement, outcome
 from conftest import EXAMPLE, WIDE_SPECS, all_specs, dists, wide_inputs
 
 TOL_SIMPLEX = 1e-9  # the one sum tolerance of validation
@@ -52,12 +52,6 @@ class TestMakeDist:
         assert len(EXAMPLE) == 5
         assert EXAMPLE[3] == 0.3
         assert tuple(EXAMPLE) == EXAMPLE.values
-
-    def test_too_short(self):
-        with pytest.raises(LengthError):
-            make_dist([1.0])
-        with pytest.raises(LengthError):
-            make_dist([])
 
     @pytest.mark.parametrize(
         "values, position",
@@ -87,15 +81,6 @@ class TestMakeDist:
         with pytest.raises(RangeError, match=f"at position {position} outside"):
             make_dist(values)
 
-    def test_in_range_bad_sum_is_sum_error(self):
-        with pytest.raises(SumError, match="values sum to 0.4, not 1"):
-            make_dist([0.1, 0.1, 0.2])
-
-    def test_sum_tolerance(self):
-        make_dist([0.5, 0.5 + 5e-10])
-        with pytest.raises(SumError):
-            make_dist([0.5, 0.5 + 5e-9])
-
     def test_no_tolerance_setting(self):
         """Both tolerances are fixed: the package exports no tolerance, and
         neither the constructors nor the property checks take one."""
@@ -124,7 +109,8 @@ class TestMakeDist:
 
 def _reference_make_dist(values):
     """The plain validator: coerce, check each value's range, decide the
-    sum with fsum alone, then store a -0.0 as 0.0."""
+    sum with fsum alone, then store a -0.0 as 0.0 and record the extremes
+    itself, so that encoding its result runs no library check."""
     vals = tuple(float(v) for v in values)
     if len(vals) < 2:
         raise LengthError(f"need at least 2 values, got {len(vals)}")
@@ -133,14 +119,16 @@ def _reference_make_dist(values):
             raise RangeError(f"value {v!r} at position {i + 1} outside [0, 1]")
     if not abs(math.fsum(vals) - 1.0) <= TOL_SIMPLEX:
         raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {TOL_SIMPLEX}")
-    return Dist(tuple(v + 0.0 for v in vals))
+    d = Dist(tuple(v + 0.0 for v in vals))
+    vars(d).update(_lo=min(d.values), _hi=max(d.values))
+    return d
 
 
-def _outcome(validate, values):
-    try:
-        return tuple(v.hex() for v in validate(values).values)
-    except SimplexError as exc:
-        return type(exc), str(exc)
+def _same_decision(values):
+    """Whether ``make_dist`` and the reference give the same ``Dist`` or
+    the same ``SimplexError``; any other error fails the test."""
+    ours = outcome(make_dist, values, errors=SimplexError)
+    return ours == outcome(_reference_make_dist, values, errors=SimplexError)
 
 
 @st.composite
@@ -182,14 +170,14 @@ class TestSameDecisions:
     @given(near_edge_values())
     @settings(max_examples=500, deadline=None)
     def test_near_edge_sums(self, values):
-        assert _outcome(make_dist, values) == _outcome(_reference_make_dist, values)
+        assert _same_decision(values)
 
     @pytest.mark.parametrize(
         "values",
         [[], [1.0], [0.5, 0.6], [1.0, 2e-9], [-0.0, 1.0], [0, 1], ["0.5", "0.5"], [0.2, 0.2]],
     )
     def test_short_rejected_and_coerced_inputs(self, values):
-        assert _outcome(make_dist, values) == _outcome(_reference_make_dist, values)
+        assert _same_decision(values)
 
 
 def _reference_measures(a, b):
@@ -397,16 +385,16 @@ class TestRecordedExtremes:
 
     def test_direct_construction_measures(self):
         d = Dist((0.25, 0.75))
-        assert (d._hi, d._lo) == (0.75, 0.25)
+        assert (d._lo, d._hi) == (0.25, 0.75)
         assert linf_to_uniform(d) == 0.25
 
     def test_replace_recomputes(self):
         d = make_dist([0.2, 0.8])
         e = dataclasses.replace(d, values=(0.875, 0.125))
         assert "_lo" not in vars(e) and "_hi" not in vars(e)
-        assert (e._hi, e._lo) == (0.875, 0.125)
+        assert (e._lo, e._hi) == (0.125, 0.875)
         assert linf_to_uniform(e) == 0.375
-        assert (d._hi, d._lo) == (0.8, 0.2)
+        assert (d._lo, d._hi) == (0.2, 0.8)
 
     @given(dists())
     def test_eq_hash_repr_see_only_values(self, d):
@@ -414,11 +402,3 @@ class TestRecordedExtremes:
         assert d == bare and hash(d) == hash(bare) and repr(d) == repr(bare)
         assert [f.name for f in dataclasses.fields(Dist)] == ["values"]
         assert dataclasses.asdict(d) == {"values": d.values}
-
-
-def test_example_entropy_exact_fraction():
-    """The worked distribution's entropy is exactly 31/40."""
-    p = [Fraction(1, 10), Fraction(1, 5), Fraction(3, 20), Fraction(3, 10), Fraction(1, 4)]
-    h = 1 - sum(x * x for x in p)
-    assert h == Fraction(31, 40)
-    assert entropy(EXAMPLE) == pytest.approx(float(h), abs=1e-12)
