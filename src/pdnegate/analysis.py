@@ -50,6 +50,7 @@ from .simplex import (
     _TOL_EQ,
     Dist,
     _check_count,
+    _check_int,
     _validated,
     linf_to_uniform,
     max_abs_diff,
@@ -152,8 +153,8 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
     contracting when a = 0, else strictly contracting. The witnesses are
     0, 0.01 and 0.02, or for a strict verdict the first three i/100 away
     from 1/n, with ``negate``'s images and the theorem's flags. Nothing is
-    sampled: ``seed`` is not read, and ``samples`` need only be an integer
-    that is at least 1.
+    sampled: ``seed`` and ``samples`` are only checked, as for every
+    family: ``seed`` must be an integer, and ``samples`` one that is >= 1.
 
     The families that read the whole distribution are sampled as
     ``samples`` whole random distributions (the involutive family, whose
@@ -173,6 +174,7 @@ def classify(spec: NegatorSpec, n: int, samples: int, seed: int) -> Classificati
     """
     _check_count(n, 2, "n")
     _check_count(samples, 1, "samples")
+    seed = _check_int(seed, "seed")
     alpha = _linear_alpha(spec)
     if alpha is not None:
         a = abs(contraction_factor(n, alpha))
@@ -255,7 +257,7 @@ def random_dist(n: int, seed: int) -> Dist:
     sign flips cancel in each quotient, a zero's sign included.
     """
     _check_count(n, 2, "n")
-    rnd = random.Random(seed).random
+    rnd = random.Random(_check_int(seed, "seed")).random
     log = math.log
     while True:
         logs = [log(1.0 - rnd()) for _ in range(n)]

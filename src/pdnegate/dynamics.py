@@ -22,7 +22,7 @@ from math import fsum
 
 from .errors import DomainError
 from .simplex import _TOL_EQ, Dist, _check_count, _new, max_abs_diff
-from .negators import NegatorSpec, _linear_alpha, contraction_factor, negate
+from .negators import NegatorSpec, _linear_alpha, _real, contraction_factor, negate
 
 __all__ = [
     "OrbitStep",
@@ -181,8 +181,7 @@ def converge(
     ``LeftDomain``. A ``DomainError`` from the first step still
     propagates: then ``dist`` itself is outside the domain.
     """
-    if not eps > 0.0:
-        raise DomainError("eps must be > 0")
+    eps = _real(eps, "eps")
     _check_count(max_iter, 1, "max_iter")
 
     current = dist

@@ -24,7 +24,6 @@ Every family fixes the value 1/n and therefore the uniform distribution.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, fields
 
 from .errors import (
@@ -59,9 +58,22 @@ class Uniform:
     """p -> 1/n, regardless of p."""
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha <= 1.0:
-        raise DomainError("alpha must be in [0, 1]")
+_DOMAINS = {  # each real parameter's test of its float, and the rule its DomainError states
+    "alpha": (lambda a: 0.0 <= a <= 1.0, "in [0, 1]"),
+    "k": (lambda k: k != 0.0 and math.isfinite(k), "a finite nonzero number within the float range"),
+    "eps": (lambda eps: eps > 0.0, "> 0"),
+}
+
+
+def _real(x: float, name: str) -> float:
+    """The one reader of alpha, k and eps: ``x``'s float, as ``math`` reads it."""
+    ok, rule = _DOMAINS[name]
+    try:
+        if ok(v := math.copysign(x, x)):  # x's float, sign and all
+            return v
+    except (TypeError, ValueError, OverflowError):  # a str, Decimal("sNaN"), 10**400
+        pass
+    raise DomainError(f"{name} must be {rule}")
 
 
 @dataclass(frozen=True)
@@ -72,8 +84,7 @@ class Linear:
     alpha: float
 
     def __post_init__(self) -> None:
-        _check_alpha(self.alpha)
-        object.__setattr__(self, "alpha", float(self.alpha))
+        object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))
 
 
 @dataclass(frozen=True)
@@ -90,11 +101,7 @@ class Tsallis:
     k: float
 
     def __post_init__(self) -> None:
-        # Exact for an int too, where math.isfinite would overflow; a k that
-        # is nonzero but whose float is 0.0, as Decimal("1e-400"), is zero.
-        if not -sys.float_info.max <= self.k <= sys.float_info.max or float(self.k) == 0.0:
-            raise DomainError("k must be a finite nonzero number within the float range")
-        object.__setattr__(self, "k", float(self.k))
+        object.__setattr__(self, "k", _real(self.k, "k"))
 
 
 @dataclass(frozen=True)
@@ -229,7 +236,7 @@ def contraction_factor(n: int, alpha: float) -> float:
     its absolute value is below 1, which fails exactly for n = 2 with
     alpha = 0."""
     _check_count(n, 2, "n")
-    _check_alpha(alpha)
+    alpha = _real(alpha, "alpha")
     return -(1.0 - alpha) / (n - 1)
 
 

@@ -164,14 +164,18 @@ def _accepted(vals: tuple[float, ...], lo: float, hi: float) -> Dist:
     raise SumError(f"values sum to {math.fsum(vals)!r}, not 1 within {_TOL_SIMPLEX}")
 
 
-def _check_count(x: int, least: int, name: str) -> None:
-    """The one rule for every count: an int, as ``operator.index`` reads one
-    (not 3.0, NaN or a ``Fraction``), in [least, the largest float]. No
-    message formats ``x``: str() of an int past 4300 digits raises."""
+def _check_int(x: int, name: str) -> int:
+    """The seed rule: an int, as ``operator.index`` reads one (not 3.0 or NaN)."""
     try:
-        x = operator.index(x)
+        return operator.index(x)
     except TypeError:
         raise DomainError(f"{name} must be an integer") from None
+
+
+def _check_count(x: int, least: int, name: str) -> None:
+    """The one rule for every count: ``_check_int``'s, in [least, the largest
+    float]. No message formats ``x``: str() of an int past 4300 digits raises."""
+    x = _check_int(x, name)
     if x < least:
         raise DomainError(f"{name} must be >= {least}")
     if x > sys.float_info.max:  # exact for an int; 1.0 / x would overflow

@@ -1,4 +1,5 @@
-"""Shared strategies for property tests, and a report hook for running
+"""Shared strategies for property tests, the non-specs, the check that a
+built object matches a constructed copy, and a report hook for running
 with every warning an error, as pyproject.toml sets.
 
 Distributions are built by normalizing non-negative weights, so every
@@ -6,8 +7,10 @@ generated value is a valid simplex point by construction (the library
 itself never normalizes).
 """
 
+import dataclasses
 import functools
 import math
+import pickle
 import random
 import warnings
 
@@ -15,12 +18,16 @@ import hypothesis.strategies as st
 import pytest
 
 from pdnegate import (
+    Dist,
+    DomainError,
     Involutive,
     Linear,
     Tsallis,
     Uniform,
     Yager,
+    iterate,
     make_dist,
+    negate,
     point_dist,
     random_dist,
 )
@@ -81,8 +88,8 @@ class TsallisSubclass(Tsallis):
     pass
 
 
-# Values that negate and classify reject with TypeError: they accept only
-# instances of the five spec classes themselves, not of subclasses.
+# Values that every function taking a spec rejects with TypeError: it takes
+# only instances of the five spec classes themselves, not of subclasses.
 NON_SPECS = pytest.mark.parametrize(
     "non_spec",
     ["yager", YagerSubclass(), TsallisSubclass(2.0)],
@@ -119,6 +126,45 @@ def wide_inputs():
         "point": point_dist(n, 1),
         "near_complement": near_complement(n, 1),
     }
+
+
+def fast_objects(spec, d):
+    """``d``, its negation and, up to n = 100, the first steps of its orbit,
+    as far as the family's domain allows them. Each is yielded before the
+    next is built, so ``d`` is seen before ``negate`` reads its extremes.
+    The steps' builder does not read n, and pickling the orbits at
+    n = 10 000 would take seconds."""
+    yield d
+    try:
+        yield negate(spec, d)
+        if d.n <= 100:
+            yield from iterate(spec, d, 3).steps
+    except DomainError:  # tsallis k < 0 on a zero entry, or once one underflows
+        pass
+
+
+def constructed(obj):
+    """A copy of ``obj`` built by its class's constructor. A ``Dist``'s
+    extremes are read, so its dict holds what validation records."""
+    built = type(obj)(*(getattr(obj, f.name) for f in dataclasses.fields(obj)))
+    if isinstance(built, Dist):
+        built._lo, built._hi
+    return built
+
+
+def assert_like_constructed(spec, d):
+    """Each of ``fast_objects(spec, d)`` pickles to the bytes of its
+    constructed copy. The bytes pin the class and the instance dict, its key
+    order and every bit of every value included (== counts -0.0 and 0.0 as
+    equal), so nothing that eq, hash, repr, replace, asdict or copy reads can
+    differ: in particular the recorded _lo and _hi are min and max bit for
+    bit. This is the one check of every builder that skips ``__init__``."""
+    for i, fast in enumerate(fast_objects(spec, d)):
+        built = constructed(fast)
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            data = pickle.dumps(fast, protocol)
+            assert data == pickle.dumps(built, protocol), (i, protocol)
+        assert pickle.dumps(pickle.loads(data), protocol) == data, i
 
 
 @pytest.hookimpl(wrapper=True, tryfirst=True)

@@ -1,5 +1,5 @@
-"""Named mutants of the library and its oracles, and the tests that must
-kill each one.
+"""Named mutants of the library, its oracles and README's API list, and the
+tests that must kill each one.
 
 Every entry of ``MUTANTS`` names a file, an exact piece of its text (the
 anchor, which must occur in the file exactly once), the text that
@@ -68,6 +68,18 @@ BITDUMP = "tests/test_bitdump.py::test_digest_matches_checked_in"
 MEASURES = "tests/test_simplex.py::TestMeasuresExact::test_random_point_and_uniform"
 SAME_DECISIONS = "tests/test_simplex.py::TestSameDecisions::{}"
 RECORDED = "tests/test_simplex.py::TestRecordedExtremes::{}"
+PARAMETER_RULE = "tests/test_negators.py::test_parameter_rule[{}]"
+SPEC_VALIDATION = "tests/test_negators.py::TestSpecValidation::{}"
+LINEAR_ALPHA = SPEC_VALIDATION.format("test_linear_alpha_domain")
+TSALLIS_K = SPEC_VALIDATION.format("test_tsallis_k_domain")
+STORED_AS_FLOAT = SPEC_VALIDATION.format("test_parameter_stored_as_float")
+NEGATE_NON_SPEC = "tests/test_negators.py::TestNegateExamples::test_non_spec_rejected"
+ITERATE_NON_SPEC = "tests/test_dynamics.py::TestIterate::test_rejects_non_spec_at_zero_steps"
+README_API = (
+    "tests/test_readme.py::TestPublicSurface::test_all_is_pinned",
+    "tests/test_readme.py::TestPublicSurface::test_api_section_lists_every_export_once",
+)
+README = "README.md"
 EXACT = "tests/test_negators.py::TestExactOracle::test_every_family"
 
 MUTANTS = [
@@ -168,8 +180,20 @@ MUTANTS = [
     # random_dist, pinned to the stdlib's exponential variates.
     Mutant(
         "random-dist-seed+1", ANALYSIS,
-        "random.Random(seed).random", "random.Random(seed + 1).random",
+        'random.Random(_check_int(seed, "seed")).random',
+        'random.Random(_check_int(seed, "seed") + 1).random',
         ("tests/test_analysis.py::TestRandomDist::test_bits_match_expovariate_draws", BITDUMP),
+    ),
+    # The seed rule: an int, for every family.
+    Mutant(
+        "random-dist-seed-unchecked", ANALYSIS,
+        'random.Random(_check_int(seed, "seed")).random', "random.Random(seed).random",
+        (PARAMETER_RULE.format("random_dist.seed"),),
+    ),
+    Mutant(
+        "classify-seed-unchecked", ANALYSIS,
+        '    seed = _check_int(seed, "seed")\n', "",
+        (PARAMETER_RULE.format("classify.seed"),),
     ),
     # A family that moves the uniform distribution: fixed_point does not
     # check it at run time, so the tests must.
@@ -298,7 +322,7 @@ MUTANTS = [
     # least value.
     Mutant(
         "count-not-int-passes", SIMPLEX,
-        "        x = operator.index(x)\n", "        pass\n",
+        "        return operator.index(x)\n", "        return x\n",
         (COUNT_RULE,),
     ),
     Mutant(
@@ -348,7 +372,25 @@ MUTANTS = [
     Mutant(
         "recorded-extremes-swapped", SIMPLEX,
         'state["_lo"], state["_hi"] = lo, hi', 'state["_lo"], state["_hi"] = hi, lo',
+        (RECORDED.format("test_factories"), PICKLE_BYTES),
+    ),
+    Mutant(
+        "uniform-dist-unrecorded", SIMPLEX,
+        "return _accepted((u,) * n, u, u)", "return Dist((u,) * n)",
         (RECORDED.format("test_factories"),),
+    ),
+    # Extremes derived from the input's, and a scan cut short that only the
+    # n = 10 000 inputs see.
+    Mutant(
+        "involutive-extremes-swapped", NEGATORS,
+        "(mp - hi) / total, (mp - lo) / total)", "(mp - lo) / total, (mp - hi) / total)",
+        (RECORDED.format("test_negate_output"),),
+    ),
+    Mutant(
+        "tsallis-scan-first-1000", NEGATORS,
+        "_accepted(tuple(out), min(out), max(out))",
+        "_accepted(tuple(out), min(out[:1000]), max(out[:1000]))",
+        (RECORDED.format("test_negate_output_wide"),),
     ),
     # The measures, pinned bit for bit to their generator-expression
     # definitions.
@@ -414,17 +456,97 @@ MUTANTS = [
         "except (RangeError, SumError) as exc:", "except SumError as exc:",
         ("tests/test_negators.py::TestFailedNegation::test_rejected_output_is_domain_error",),
     ),
+    # The one reader of a real parameter: its float, its domain, its store.
+    Mutant(
+        "reader-compares-raw-value", NEGATORS,
+        "if ok(v := math.copysign(x, x)):  # x's float, sign and all\n            return v\n",
+        "if ok(x):\n            return float(x)\n",
+        (LINEAR_ALPHA, TSALLIS_K, PARAMETER_RULE.format("converge.eps")),
+    ),
+    Mutant(
+        "alpha-domain-unbounded", NEGATORS,
+        "lambda a: 0.0 <= a <= 1.0", "lambda a: a == a",
+        (LINEAR_ALPHA, PARAMETER_RULE.format("contraction_factor.alpha"),
+         PARAMETER_RULE.format("linear_power_point.alpha")),
+    ),
+    Mutant(
+        "k-zero-accepted", NEGATORS,
+        "lambda k: k != 0.0 and math.isfinite(k)", "lambda k: math.isfinite(k)",
+        (TSALLIS_K,),
+    ),
+    Mutant(
+        "eps-zero-accepted", NEGATORS,
+        "lambda eps: eps > 0.0", "lambda eps: eps >= 0.0",
+        (PARAMETER_RULE.format("converge.eps"),),
+    ),
     Mutant(
         "linear-stores-raw-alpha", NEGATORS,
-        '        object.__setattr__(self, "alpha", float(self.alpha))\n', "",
-        ("tests/test_negators.py::TestSpecValidation::test_parameter_stored_as_float",),
+        'object.__setattr__(self, "alpha", _real(self.alpha, "alpha"))', '_real(self.alpha, "alpha")',
+        (LINEAR_ALPHA, STORED_AS_FLOAT),
     ),
+    Mutant(
+        "tsallis-stores-raw-k", NEGATORS,
+        'object.__setattr__(self, "k", _real(self.k, "k"))', '_real(self.k, "k")',
+        (TSALLIS_K, STORED_AS_FLOAT),
+    ),
+    Mutant(
+        "contraction-factor-unread", NEGATORS,
+        '    alpha = _real(alpha, "alpha")\n', "    alpha = float(alpha)\n",
+        (PARAMETER_RULE.format("contraction_factor.alpha"),
+         PARAMETER_RULE.format("linear_power_point.alpha")),
+    ),
+    # The spec rule: exactly the five spec classes, checked before anything
+    # else happens.
     Mutant(
         "format-negator-unchecked", NEGATORS,
         "    if type(spec) not in _FAMILIES:\n"
         "        raise TypeError(f\"not a negator spec: {spec!r}\")\n    return type(spec)",
         "    return type(spec)",
-        ("tests/test_negators.py::TestNegateExamples::test_non_spec_rejected",),
+        (NEGATE_NON_SPEC,),
+    ),
+    Mutant(
+        "negate-returns-non-spec-input", NEGATORS,
+        "from exc\n    raise TypeError(f\"not a negator spec: {spec!r}\")", "from exc\n    return dist",
+        (NEGATE_NON_SPEC, "tests/test_analysis.py::TestCheckInvolution::test_rejects_non_spec"),
+    ),
+    Mutant(
+        "linear-alpha-isinstance", NEGATORS,
+        "    family = type(spec)\n    if family is Yager:\n        return 0.0",
+        "    family = next((f for f in _FAMILIES if isinstance(spec, f)), None)\n"
+        "    if family is Yager:\n        return 0.0",
+        (ITERATE_NON_SPEC, CONVERGE.format("test_rejects_non_spec_at_uniform_start"),
+         CLASSIFY.format("test_parameter_domains"), FIXED_POINT.format("test_rejects_non_spec")),
+    ),
+    Mutant(
+        "iterate-no-spec-check", DYNAMICS,
+        "    _linear_alpha(spec)  # a non-spec raises here, even if negate never runs\n", "",
+        (ITERATE_NON_SPEC,),
+    ),
+    Mutant(
+        "converge-spec-checked-late", DYNAMICS,
+        "    alpha = _linear_alpha(spec)\n"
+        "    cycles = alpha is None or abs(contraction_factor(n, alpha)) >= 1.0\n"
+        "    if hi - u < eps and u - lo < eps:\n        return Converged(0, current)\n",
+        "    if hi - u < eps and u - lo < eps:\n        return Converged(0, current)\n"
+        "    alpha = _linear_alpha(spec)\n"
+        "    cycles = alpha is None or abs(contraction_factor(n, alpha)) >= 1.0\n",
+        (CONVERGE.format("test_rejects_non_spec_at_uniform_start"),),
+    ),
+    # The export list: each module's __all__ is README's group for it.
+    Mutant(
+        "export-dropped", DYNAMICS,
+        '    "orbit_csv",\n]', "]",
+        README_API,
+    ),
+    Mutant(
+        "readme-export-unlisted", README,
+        "- `orbit_csv(trace)`: the CSV table that `iterate --format csv` prints\n", "",
+        README_API,
+    ),
+    Mutant(
+        "readme-group-misnamed", README,
+        "`pdnegate.analysis`:", "`pdnegate.dynamics`:",
+        README_API,
     ),
     # The CLI's exit codes: 2 for a domain error, 1 for malformed input.
     Mutant(

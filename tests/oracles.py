@@ -109,6 +109,12 @@ def _decimal_expm1(x):
     return total
 
 
+# Every family's outputs lie within this of their exact values. The
+# largest errors are tsallis's pow numerators at |k| = 2**-4, about 1.3e-15;
+# elsewhere they are a few ulps of 1, about 2e-16.
+EXACT_BOUND = 2e-15
+
+
 def exact_negate(spec, dist):
     """``negate(spec, dist)``'s values as exact ``Fraction``s, from the
     family's formula: in rational arithmetic for yager, uniform, linear and

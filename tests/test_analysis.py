@@ -241,6 +241,11 @@ class TestCheckInvolution:
         for d in (make_dist([0.3, 0.7]), make_dist([0.0, 1.0]), uniform_dist(2)):
             assert check_involution(Yager(), d).ok
 
+    @NON_SPECS
+    def test_rejects_non_spec(self, non_spec):
+        with pytest.raises(TypeError, match="^not a negator spec: "):
+            check_involution(non_spec, EXAMPLE)
+
     @given(dists(min_n=2, max_n=10))
     @settings(max_examples=500)
     def test_involutive_family_everywhere(self, d):

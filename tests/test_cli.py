@@ -16,8 +16,7 @@ from pdnegate import SumError, Tsallis, make_dist, negators
 from pdnegate.cli import run
 from pdnegate.negators import _SPEC_SYNTAX
 
-from oracles import exact_negate
-from test_negators import EXACT_BOUND
+from oracles import EXACT_BOUND, exact_negate
 
 
 def invoke(capsys, *argv):

@@ -85,17 +85,6 @@ class TestClosedForms:
     def test_odd_power_flips_n2(self, alpha, k, value):
         assert linear_power_point(0.3, 2, alpha, k) == pytest.approx(value, abs=1e-4)
 
-    def test_domain_errors(self):
-        for alpha in (2.0, 10**5000):  # 10**5000 has too many digits to format
-            with pytest.raises(DomainError):
-                linear_power_point(0.5, 3, alpha, 1)
-
-
-class TestContractionFactor:
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            contraction_factor(3, -0.1)
-
 
 class TestExactRate:
     @given(dists(min_n=2, max_n=8))
@@ -166,11 +155,6 @@ class TestConverge:
         out = converge(spec, start, eps=1e-12)
         assert isinstance(out, Converged)
         assert out.steps == steps
-
-    def test_parameter_domains(self):
-        for eps in (0.0, math.nan, -10**5000):  # -10**5000 has too many digits to format
-            with pytest.raises(DomainError):
-                converge(Yager(), EXAMPLE, eps=eps)
 
     @given(positive_dists(min_n=2, max_n=8))
     @settings(max_examples=100, deadline=None)

@@ -1,6 +1,8 @@
 """Negator families: single-step values, axioms, syntax."""
 
 import math
+import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
@@ -20,10 +22,13 @@ from pdnegate import (
     Tsallis,
     Uniform,
     Yager,
+    classify,
+    contraction_factor,
     converge,
     entropy,
     format_negator,
     iterate,
+    linear_power_point,
     linf_to_uniform,
     make_dist,
     max_abs_diff,
@@ -40,17 +45,13 @@ from pdnegate.negators import _SPEC_SYNTAX
 from bitdump import near_complement
 from conftest import ALPHA_GRID, EXAMPLE, NON_SPECS, all_specs, dists, positive_dists
 from oracles import (
+    EXACT_BOUND,
     exact_negate,
     involutive_point,
     linear_point,
     negation_axioms_check,
     yager_point,
 )
-
-# Every family's outputs lie within this of their exact values. The
-# largest errors are tsallis's pow numerators at |k| = 2**-4, about 1.3e-15;
-# elsewhere they are a few ulps of 1, about 2e-16.
-EXACT_BOUND = 2e-15
 
 
 def assert_near_exact(spec, d):
@@ -65,22 +66,78 @@ def assert_near_exact(spec, d):
     assert max(abs(Fraction(v) - x) for v, x in zip(q, exact)) <= EXACT_BOUND
 
 
+# Each real parameter's rule, and the seed's: its DomainError message, values
+# outside it, and pairs of values inside it that act alike, read as one float or int.
+RULES = {
+    "alpha": (
+        "alpha must be in [0, 1]",
+        [-0.1, -0.01, 1.01, 2.0, 10**5000, -10**5000, math.nan, Decimal("NaN"), Decimal("sNaN"),
+         "0.5"],
+        [(0, 0.0), (True, 1.0), (Decimal("0.5"), 0.5)],
+    ),
+    "k": (
+        "k must be a finite nonzero number within the float range",
+        # 10**400 has no float and Decimal("1e-400")'s is 0.0; the largest float's
+        # successor int rounds to it, as math reads it.
+        [0.0, math.nan, math.inf, -math.inf, 10**400, -10**5000, Decimal("1e-400"),
+         Decimal("NaN"), Decimal("sNaN"), "2"],
+        [(-1, -1.0), (Decimal("2"), 2.0), (int(sys.float_info.max) + 1, sys.float_info.max)],
+    ),
+    "eps": (
+        "eps must be > 0",
+        [0.0, math.nan, -10**5000, Decimal("1e-400"), Decimal("NaN"), "1e-9"],
+        [(Decimal("1e-9"), 1e-9)],
+    ),
+    "seed": (
+        "seed must be an integer",
+        [None, math.nan, 2.5, 3.0, Fraction(5, 2), "1"],
+        [(True, 1)],
+    ),
+}
+
+
+def assert_parameter_rule(call, rule):
+    """``call`` with a value outside its rule raises DomainError, even a value
+    that math cannot read as a float, such as a str, and one whose str()
+    raises, as -10**5000's. A Decimal alpha or k is stored as its float."""
+    message, outside, alike = RULES[rule]
+    for bad in outside:
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            call(bad)
+    for value, same in alike:
+        assert repr(call(value)) == repr(call(same))
+
+
+# One row per public function and parameter that a rule governs, but the
+# spec classes' own, which TestSpecValidation checks: the call with that
+# parameter as its only argument, and the rule. Yager checks the seed that
+# only tsallis and involutive read.
+PARAMETERS = [
+    pytest.param(lambda alpha: contraction_factor(3, alpha), "alpha", id="contraction_factor.alpha"),
+    pytest.param(
+        lambda alpha: linear_power_point(0.3, 3, alpha, 2), "alpha", id="linear_power_point.alpha"
+    ),
+    pytest.param(lambda eps: converge(Yager(), EXAMPLE, eps=eps), "eps", id="converge.eps"),
+    pytest.param(
+        lambda seed: (classify(Yager(), 3, 10, seed), classify(Tsallis(-0.5), 3, 5, seed)),
+        "seed",
+        id="classify.seed",
+    ),
+    pytest.param(lambda seed: random_dist(3, seed), "seed", id="random_dist.seed"),
+]
+
+
+@pytest.mark.parametrize("call, rule", PARAMETERS)
+def test_parameter_rule(call, rule):
+    assert_parameter_rule(call, rule)
+
+
 class TestSpecValidation:
     def test_linear_alpha_domain(self):
-        Linear(0.0)
-        Linear(1.0)
-        for alpha in (-0.01, 1.01, 10**5000, -10**5000):  # too many digits to format
-            with pytest.raises(DomainError):
-                Linear(alpha)
+        assert_parameter_rule(Linear, "alpha")
 
     def test_tsallis_k_domain(self):
-        Tsallis(2.0)
-        Tsallis(-1.0)
-        # Past the largest float an int has no float value; -10**5000 has
-        # too many digits to format; Decimal("1e-400")'s float is 0.0.
-        for k in (0.0, math.nan, math.inf, -math.inf, 10**400, -10**5000, Decimal("1e-400")):
-            with pytest.raises(DomainError):
-                Tsallis(k)
+        assert_parameter_rule(Tsallis, "k")
 
     @pytest.mark.parametrize(
         "spec, same",
@@ -90,7 +147,6 @@ class TestSpecValidation:
     def test_parameter_stored_as_float(self, spec, same):
         # Kept as a Decimal, it would pass the domain check, then make the
         # kernel's float arithmetic raise an untyped TypeError.
-        assert repr(spec) == repr(same)
         assert negate(spec, EXAMPLE).values == negate(same, EXAMPLE).values
 
     def test_tsallis_vanishing_denominator(self):
